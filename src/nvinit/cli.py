@@ -29,7 +29,7 @@ import yaml
 from .config import Config, load_config, parse_sequence
 from .hamiltonian import transition_table
 from .optimizer import REFERENCE_CYCLE1_OVERRIDES, optimize_schedule
-from .pulses import apply_pulse, initial_state, run_sequence, seg1, seg2
+from .pulses import apply_swaps, initial_state, run_sequence, seg1, seg2
 from .spinmodel import propagate, validate_population
 from .tomography import (amplitudes, calibration_spectrum, extract_amplitudes,
                          spectrum, synthesize_fid)
@@ -109,10 +109,8 @@ def _cmd_sweep(args) -> int:
     if args.t_max <= 0:
         raise ValueError(f"t-max must be positive, got {args.t_max:g}")
     builder = seg1 if args.segment == "seg1" else seg2
-    state = _segment_sweep_start(args.segment, cfg)
-    swapped = state
-    for pulse in builder(0.0).pulses[:-1]:
-        swapped = apply_pulse(swapped, pulse, cfg.rates)
+    swapped = apply_swaps(_segment_sweep_start(args.segment, cfg), builder(0.0),
+                          cfg.rates)
     rows = []
     for t in np.linspace(0.0, args.t_max, args.steps):
         p = propagate(swapped, float(t), cfg.rates)
@@ -196,7 +194,8 @@ def _cmd_optimize(args) -> int:
     settings = cfg.optimizer
     schedule = optimize_schedule(initial_state(cfg.rates), cfg.rates,
                                  settings.objective, settings.n_cycles,
-                                 settings.strategy, settings.cycle1)
+                                 settings.strategy, settings.cycle1,
+                                 t_max=settings.t_max)
     csv_path = out / "schedule.csv"
     _write_csv(csv_path,
                ["cycle", "t1_us", "purity_after_seg1", "t2_us", "purity_after_seg2"],

@@ -3,10 +3,11 @@
 Each segment ends with a laser pulse whose duration trades electron
 repolarization against nuclear depolarization.  The optimizer maximizes
 a scalar objective of the propagated state over the duration, one
-segment at a time, and chains segments into multi-cycle schedules:
+segment at a time, and chains segments into multi-cycle schedules as
+one fold over a list of laser passes, ordered by the strategy:
 
-    interleaved:  [seg1 + seg2] x N
-    blocked:      [seg1 x N] + [seg2 x N]
+    interleaved:  [seg1, seg2] x N
+    blocked:      [seg1] x N + [seg2] x N
 
 The objective landscape is smooth with a single interior maximum, so a
 coarse grid scan followed by golden-section refinement is robust and
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pulses import apply_pulse, seg1, seg2
+from .pulses import apply_swaps, seg1, seg2
 from .spinmodel import RateParams, propagate, validate_population
 
 __all__ = [
@@ -80,8 +81,9 @@ class CycleOverrides:
 
     def __post_init__(self) -> None:
         for name, val in (("t1", self.t1), ("t2", self.t2)):
-            if val is not None and val < 0:
-                raise ValueError(f"{name} override must be nonnegative, got {val}")
+            if val is not None and not 0.0 <= val < math.inf:
+                raise ValueError(
+                    f"{name} override must be finite and nonnegative, got {val}")
         if self.seg2_start is not None:
             validate_population(self.seg2_start)
 
@@ -164,8 +166,8 @@ def optimize_laser(p_post_swaps, rates: RateParams = RateParams(),
     (float, float)
         Optimal duration t_star in us and the objective value there.
     """
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
     p0 = validate_population(p_post_swaps)
 
     def value_at(t: float) -> float:
@@ -192,52 +194,53 @@ def _coerce_overrides(overrides) -> CycleOverrides:
     return CycleOverrides(*overrides)
 
 
+def _fold(state, passes, rates: RateParams, objective: str, t_max: float,
+          first_cycle: int = 1) -> tuple:
+    """Run laser passes in order; row i pairs the i-th seg1 and seg2 passes.
+
+    A pass is (segment builder, pinned duration or None, start state or
+    None).  A start state replaces the incoming one, the segment's swaps
+    run, the laser runs for the pinned or optimize_laser's duration.
+    """
+    done = {seg1: [], seg2: []}
+    for builder, t_pinned, start in passes:
+        if start is not None:
+            state = validate_population(start)
+        swapped = apply_swaps(state, builder(0.0), rates)
+        t = t_pinned if t_pinned is not None else \
+            optimize_laser(swapped, rates, objective, t_max)[0]
+        state = propagate(swapped, t, rates)
+        done[builder].append((t, float(state[2]), state))
+    return tuple(
+        CycleResult(cycle=first_cycle + i, t1=t1, purity_after_seg1=purity1,
+                    t2=t2, purity_after_seg2=purity2, end_state=end)
+        for i, ((t1, purity1, _), (t2, purity2, end))
+        in enumerate(zip(done[seg1], done[seg2])))
+
+
 def run_cycle(p, rates: RateParams = RateParams(), objective: str = P00,
-              overrides=None, cycle: int = 1) -> CycleResult:
+              overrides=None, cycle: int = 1, t_max: float = 10.0) -> CycleResult:
     """One [seg1 + seg2] cycle with per-segment duration choice.
 
-    Applies the seg1 swaps, picks t1 (override or optimizer) and runs
-    the laser; then the same for seg2.  An overrides record may also pin
-    the state handed to seg2 (see CycleOverrides).
+    Applies the seg1 swaps, picks t1 (override or optimizer on
+    [0, t_max]) and runs the laser; then the same for seg2.  An overrides
+    record may also pin the state handed to seg2 (see CycleOverrides).
     """
     ov = _coerce_overrides(overrides)
-    state = validate_population(p)
-
-    swapped, _ = _apply_swaps(state, seg1(0.0), rates)
-    t1 = ov.t1 if ov.t1 is not None else optimize_laser(swapped, rates, objective)[0]
-    state = propagate(swapped, t1, rates)
-    purity1 = float(state[2])
-
-    if ov.seg2_start is not None:
-        state = validate_population(ov.seg2_start)
-    swapped, _ = _apply_swaps(state, seg2(0.0), rates)
-    t2 = ov.t2 if ov.t2 is not None else optimize_laser(swapped, rates, objective)[0]
-    state = propagate(swapped, t2, rates)
-    purity2 = float(state[2])
-
-    return CycleResult(cycle=cycle, t1=t1, purity_after_seg1=purity1,
-                       t2=t2, purity_after_seg2=purity2, end_state=state)
-
-
-def _apply_swaps(state, segment, rates):
-    """Run only the swap pulses of a segment, skipping its laser."""
-    out = state
-    for pulse in segment.pulses[:-1]:
-        out = apply_pulse(out, pulse, rates)
-    return out, segment.pulses[-1]
+    passes = ((seg1, ov.t1, None), (seg2, ov.t2, ov.seg2_start))
+    return _fold(p, passes, rates, objective, t_max, cycle)[0]
 
 
 def optimize_schedule(p0, rates: RateParams = RateParams(), objective: str = P00,
                       n_cycles: int = 3, strategy: str = INTERLEAVED,
-                      cycle1_overrides=None) -> Schedule:
+                      cycle1_overrides=None, t_max: float = 10.0) -> Schedule:
     """Optimize a full N-cycle schedule.
 
-    interleaved folds run_cycle N times, applying cycle1_overrides to
-    the first cycle only.  blocked runs N seg1 passes followed by N seg2
-    passes, re-optimizing each pass; the duration overrides apply to the
-    first pass of each block, while a pinned seg2 start state is ignored
-    (it describes the state between the segments of an interleaved first
-    cycle, which never occurs in the blocked ordering).
+    interleaved runs N [seg1, seg2] cycles, blocked N seg1 passes then N
+    seg2 passes; each pass optimizes its laser on [0, t_max].  The t1 and
+    t2 of cycle1_overrides pin the first pass of each segment; its seg2
+    start state is honoured only when interleaved (it describes the state
+    between the segments of an interleaved first cycle).
 
     Returns
     -------
@@ -250,34 +253,11 @@ def optimize_schedule(p0, rates: RateParams = RateParams(), objective: str = P00
         raise ValueError(f"n_cycles must be in [1, 20], got {n_cycles}")
     if strategy not in (INTERLEAVED, BLOCKED):
         raise ValueError(f"unknown strategy {strategy!r}")
-    state = validate_population(p0)
     ov1 = _coerce_overrides(cycle1_overrides)
-
-    if strategy == INTERLEAVED:
-        rows = []
-        for i in range(n_cycles):
-            result = run_cycle(state, rates, objective,
-                               overrides=ov1 if i == 0 else None, cycle=i + 1)
-            rows.append(result)
-            state = result.end_state
-        return Schedule(INTERLEAVED, tuple(rows), rows[-1].purity_after_seg2)
-
-    seg1_passes = []
-    for i in range(n_cycles):
-        swapped, _ = _apply_swaps(state, seg1(0.0), rates)
-        t1 = ov1.t1 if i == 0 and ov1.t1 is not None else \
-            optimize_laser(swapped, rates, objective)[0]
-        state = propagate(swapped, t1, rates)
-        seg1_passes.append((t1, float(state[2])))
-    seg2_passes = []
-    for i in range(n_cycles):
-        swapped, _ = _apply_swaps(state, seg2(0.0), rates)
-        t2 = ov1.t2 if i == 0 and ov1.t2 is not None else \
-            optimize_laser(swapped, rates, objective)[0]
-        state = propagate(swapped, t2, rates)
-        seg2_passes.append((t2, float(state[2]), state))
-    rows = tuple(
-        CycleResult(cycle=i + 1, t1=s1[0], purity_after_seg1=s1[1],
-                    t2=s2[0], purity_after_seg2=s2[1], end_state=s2[2])
-        for i, (s1, s2) in enumerate(zip(seg1_passes, seg2_passes)))
-    return Schedule(BLOCKED, rows, rows[-1].purity_after_seg2)
+    seg2_start = ov1.seg2_start if strategy == INTERLEAVED else None
+    firsts = [(seg1, ov1.t1, None)] + [(seg1, None, None)] * (n_cycles - 1)
+    seconds = [(seg2, ov1.t2, seg2_start)] + [(seg2, None, None)] * (n_cycles - 1)
+    passes = (firsts + seconds if strategy == BLOCKED
+              else [p for cycle in zip(firsts, seconds) for p in cycle])
+    rows = _fold(p0, passes, rates, objective, t_max)
+    return Schedule(strategy, rows, rows[-1].purity_after_seg2)

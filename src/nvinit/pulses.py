@@ -11,6 +11,7 @@ population into |0,0>, seg2 does the same for m_I=+1:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "seg1",
     "seg2",
     "apply_pulse",
+    "apply_swaps",
     "run_segment",
     "run_sequence",
     "initial_state",
@@ -86,8 +88,9 @@ class Laser:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"laser duration must be nonnegative, got {self.duration}")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError(
+                f"laser duration must be finite and nonnegative, got {self.duration}")
 
 
 Pulse = MwPi | RfPi | Laser
@@ -152,6 +155,14 @@ def apply_pulse(p, pulse: Pulse, rates: RateParams = RateParams()) -> np.ndarray
     out[i] = (1.0 - f) * vec[i] + f * vec[j]
     out[j] = (1.0 - f) * vec[j] + f * vec[i]
     return out
+
+
+def apply_swaps(p, segment: Segment, rates: RateParams = RateParams()) -> np.ndarray:
+    """Apply a segment's pulses up to its closing laser (the swaps)."""
+    state = validate_population(p)
+    for pulse in segment.pulses[:-1]:
+        state = apply_pulse(state, pulse, rates)
+    return state
 
 
 def run_segment(p, segment: Segment, rates: RateParams = RateParams()):

@@ -12,6 +12,7 @@ at rate k_i.  All times are in microseconds, rates in 1/us.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ LEVEL_INDEX = {lvl: i for i, lvl in enumerate(LEVELS)}
 #: (indices 0<->1 and 3<->4).  The generator commutes with it.
 NUCLEAR_MIRROR = (1, 0, 2, 4, 3, 5)
 
-# Below this separation the closed-form denominator (3*k_i - k_s) is
-# treated as degenerate and the numeric integrator takes over.
+# Below this separation the denominator (3*k_i - k_s) of the transcribed
+# reference solutions is treated as singular.
 _DEGENERACY_EPS = 1e-6
 
 _SUM_TOL = 1e-9
@@ -78,7 +79,7 @@ class RateParams:
 
     @property
     def degenerate(self) -> bool:
-        """True when |3*k_i - k_s| is too small for the closed form."""
+        """True when |3*k_i - k_s| is too small for the reference solutions."""
         return abs(3.0 * self.k_i - self.k_s) < _DEGENERACY_EPS
 
 
@@ -134,15 +135,16 @@ def propagator(t: float, rates: RateParams = RateParams()) -> np.ndarray:
     """Propagator exp(M t) of the rate equation.
 
     Built from the known eigenstructure of M (eigenvalues 0, -3*k_i twice
-    and -k_s three times).  Near the degeneracy 3*k_i = k_s the closed
-    form loses its denominator, so the matrix is assembled column by
-    column with the fixed-step integrator instead; both paths agree to
-    better than 1e-8 at the boundary.
+    and -k_s three times), one closed form for every pair of rates.  The
+    m_s=-1 feed into the nuclear modes, k_s (e^{-k_s t} - e^{-3k_i t}) /
+    (3k_i - k_s), is evaluated as k_s e^{-min(k_s, 3k_i) t} phi_1 with
+    phi_1 = -expm1(-g t)/g, g = |3k_i - k_s| (t at g = 0), which neither
+    cancels near 3k_i = k_s nor overflows at long t.
 
     Parameters
     ----------
     t : float
-        Duration in us, t >= 0.
+        Duration in us, finite and t >= 0.
     rates : RateParams
         Pumping rates.
 
@@ -151,19 +153,17 @@ def propagator(t: float, rates: RateParams = RateParams()) -> np.ndarray:
     numpy.ndarray, shape (6, 6)
         Columns are probability vectors (sum to 1).
     """
-    if t < 0:
-        raise ValueError(f"duration must be nonnegative, got {t}")
-    if rates.degenerate:
-        cols = [propagate_numeric(col, t, rates) for col in np.eye(6)]
-        return np.column_stack(cols)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"duration must be finite and nonnegative, got {t}")
     ks, ki = rates.k_s, rates.k_i
-    e3 = np.exp(-3.0 * ki * t)
-    es = np.exp(-ks * t)
+    e3 = math.exp(-3.0 * ki * t)
+    es = math.exp(-ks * t)
+    g = abs(3.0 * ki - ks)
+    phi1 = -math.expm1(-g * t) / g if g > 0.0 else t
+    # max(es, e3) is e^{-min(k_s, 3 k_i) t}: the slower of the two decays.
+    phi = ks * max(es, e3) * phi1
     third = np.full((3, 3), 1.0 / 3.0)
     eye3 = np.eye(3)
-    # Mixing ratio of the decaying m_s=-1 feed between the uniform mode
-    # and the traceless nuclear modes.
-    phi = ks * (es - e3) / (3.0 * ki - ks)
     u = np.zeros((6, 6))
     u[:3, :3] = third + e3 * (eye3 - third)
     u[:3, 3:] = (1.0 - es) * third + phi * (eye3 - third)
@@ -186,9 +186,9 @@ def propagate_numeric(p, t: float, rates: RateParams = RateParams(),
                       step: float = 1e-3) -> np.ndarray:
     """Classic fixed-step 4th-order Runge-Kutta integration of dP/dt = M P.
 
-    Serves as the independent cross-check of the closed-form propagator
-    and as its fallback in the degenerate regime.  The interval is split
-    into ceil(t/step) uniform steps.
+    Serves only as the independent cross-check of the closed-form
+    propagator; no production path calls it.  The interval is split into
+    ceil(t/step) uniform steps.
 
     Parameters
     ----------

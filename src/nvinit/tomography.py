@@ -101,10 +101,14 @@ class FidParams:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Discrete spectrum on a uniform, monotonically increasing grid."""
+    """Discrete spectrum on a uniform, monotonically increasing grid.
+
+    fid_length is the FID's sample count before zero padding (None if unknown).
+    """
 
     freqs_mhz: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
+    fid_length: int | None = None
 
     def __post_init__(self) -> None:
         if self.freqs_mhz.shape != self.values.shape:
@@ -149,7 +153,7 @@ def spectrum(fid: np.ndarray, fp: FidParams = FidParams()) -> Spectrum:
     padded[: len(fid)] = fid
     values = np.fft.fftshift(np.fft.fft(padded))
     freqs = np.fft.fftshift(np.fft.fftfreq(fp.padded_length, fp.dt))
-    return Spectrum(freqs_mhz=freqs, values=values)
+    return Spectrum(freqs_mhz=freqs, values=values, fid_length=len(fid))
 
 
 def calibration_spectrum(fp: FidParams = FidParams()) -> Spectrum:
@@ -192,11 +196,15 @@ def extract_amplitudes(spec: Spectrum, fp: FidParams,
     calibration is the reference spectrum (calibration_spectrum(fp));
     the unmixing needs no reference, so it is only checked to lie on
     fp's grid, as spec is.  Raises ValueError when either spectrum is off
-    that grid, when a line lies outside it, or when two lines share a bin.
+    that grid, when spec is not of an FID of fp.n_samples samples, when a
+    line lies outside the grid, or when two lines share a bin.
     """
     if calibration is None:
         raise ValueError("extraction requires a calibration spectrum")
     _check_grid(spec, fp, "spectrum")
+    if spec.fid_length != fp.n_samples:
+        raise ValueError(f"spectrum is of {spec.fid_length} FID samples, "
+                         f"the FID parameters have {fp.n_samples}")
     _check_grid(calibration, fp, "calibration spectrum")
     freqs = spec.freqs_mhz
     lines = np.array([fp.line_frequency(mi) for mi in _MI_ORDER])

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import pytest
 import yaml
@@ -182,6 +183,31 @@ class TestOptimize:
         assert (a / "schedule.yaml").read_bytes() == (b / "schedule.yaml").read_bytes()
 
 
+    def test_t_max_bounds_the_durations(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("optimizer:\n  t_max_us: 0.1\n  n_cycles: 1\n  cycle1: null\n")
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        row = yaml.safe_load(capsys.readouterr().out)["cycles"][0]
+        assert 0.0 <= row["t1_us"] <= 0.1
+        assert 0.0 <= row["t2_us"] <= 0.1
+
+    def test_rates_at_the_degeneracy(self, tmp_path, capsys):
+        # k_s = 3 k_i: the propagator's two decay rates coincide
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("rates:\n  k_s_per_us: 0.6\n  k_i_per_us: 0.2\n"
+                       "optimizer:\n  n_cycles: 1\n  cycle1: null\n")
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        doc = yaml.safe_load(capsys.readouterr().out)
+        row = doc["cycles"][0]
+        assert all(math.isfinite(v) for v in doc["end_state"])
+        assert all(math.isfinite(row[k]) for k in ("t1_us", "purity_after_seg1",
+                                                   "t2_us", "purity_after_seg2"))
+        assert main(["sweep", "seg1", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "sweep_seg1.csv")[1:]
+        assert len(rows) == 201
+        assert all(math.isfinite(float(v)) for r in rows for v in r)
+
+
 class TestSimulate:
     def test_seg1_from_default_state(self, tmp_path, capsys):
         seq = tmp_path / "seq.yaml"
@@ -225,6 +251,15 @@ class TestSimulate:
         assert main(["simulate", str(seq)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "ramsey" in err
+
+
+    def test_nan_laser_duration_is_refused(self, tmp_path, capsys):
+        seq = tmp_path / "seq.yaml"
+        seq.write_text("pulses:\n  - {kind: laser, duration_us: .nan}\n")
+        assert main(["simulate", str(seq)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pulses[0]:") and "finite" in err
+        assert err.count("\n") == 1
 
 
 class TestGlobalFlags:

@@ -202,6 +202,17 @@ class TestSchedules:
         assert s.final_purity > 0.70
 
 
+class TestNonFiniteInput:
+    def test_override_duration_must_be_finite(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="t1 override must be finite"):
+                CycleOverrides(t1=bad)
+
+    def test_t_max_must_be_finite(self):
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            optimize_laser(PUBLISHED, t_max=float("inf"))
+
+
 def test_a0_objective_prefers_longer_first_pulse():
     # from the post-swap seg1 state the A0 curve peaks later than P00
     start = np.array([0, 1, 1, 0, 0, 1]) / 3.0

@@ -120,6 +120,32 @@ class TestPropagator:
             assert np.abs(a - b).max() < 1e-8
 
 
+class TestSingleClosedForm:
+    # 3 * 0.25 == 0.75 in floating point, so phi_1 takes its g = 0 branch
+    EXACT = RateParams(k_s=0.75, k_i=0.25)
+
+    def test_semigroup_at_exact_degeneracy(self):
+        assert 3.0 * self.EXACT.k_i == self.EXACT.k_s
+        for s, t in ((0.3, 0.7), (1.5, 4.0), (10.0, 20.0)):
+            u = propagator(s + t, self.EXACT)
+            v = propagator(s, self.EXACT) @ propagator(t, self.EXACT)
+            assert np.abs(u - v).max() < 1e-14
+
+    def test_long_durations_reach_steady_state(self):
+        # e^{-k_s t} underflows long before e^{-3 k_i t}; the mixing term
+        # must not turn into 0 * inf
+        for t, rates in ((300.0, RateParams()), (1e4, self.EXACT)):
+            u = propagator(t, rates)
+            assert np.isfinite(u).all()
+            for col in range(6):
+                assert np.abs(u[:, col] - STEADY).max() < 1e-12
+
+    def test_non_finite_duration_rejected(self):
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="must be finite"):
+                propagate(SEG1_START, t)
+
+
 class TestPropagate:
     def test_seg1_laser_endpoint(self):
         got = propagate(SEG1_START, 0.5)

@@ -202,6 +202,16 @@ class TestExtraction:
             extract_amplitudes(cal, fp, cal)
         assert "\n" not in str(info.value)
 
+    def test_fid_of_other_length_is_refused(self):
+        # a 256-sample FID on the default grid used to read back as
+        # (0.185, 0.278, 0.370)
+        fp = FidParams()
+        fid = synthesize_fid(SpectralAmplitudes(0.2, 0.3, 0.4), FidParams(n_samples=256))
+        spec = spectrum(fid, fp)
+        assert spec.fid_length == 256
+        with pytest.raises(ValueError, match="256 FID samples"):
+            extract_amplitudes(spec, fp, calibration_spectrum(fp))
+
     def test_spectrum_off_the_grid_is_refused(self):
         fp = FidParams()
         short = spectrum(synthesize_fid(THIRD, fp), FidParams(n_samples=1024))
