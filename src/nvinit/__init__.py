@@ -12,7 +12,7 @@ from .optimizer import (A0, BLOCKED, INTERLEAVED, P00, REFERENCE_CYCLE1_OVERRIDE
                         CycleOverrides, CycleResult, Schedule, objective_value,
                         optimize_laser, optimize_schedule, run_cycle)
 from .pulses import (MW_PAIRS, RF_PAIRS, Laser, MwPi, RfPi, Segment, TraceRecord,
-                     apply_pulse, apply_swaps, initial_state, run_segment, run_sequence,
+                     apply_pulse, initial_state, run_segment, run_sequence,
                      seg1, seg2)
 from .config import (Config, ConfigError, OptimizerSettings, load_config,
                      parse_config, parse_sequence)
@@ -34,8 +34,7 @@ __all__ = [
     "HamiltonianParams", "TransitionRef", "REFERENCE_TRANSITIONS",
     "energy", "transition_frequency", "transition_table",
     "MW_PAIRS", "RF_PAIRS", "MwPi", "RfPi", "Laser", "Segment", "TraceRecord",
-    "seg1", "seg2", "apply_pulse", "apply_swaps", "run_segment", "run_sequence",
-    "initial_state",
+    "seg1", "seg2", "apply_pulse", "run_segment", "run_sequence", "initial_state",
     "SpectralAmplitudes", "FidParams", "Spectrum", "amplitudes",
     "synthesize_fid", "spectrum", "calibration_spectrum", "extract_amplitudes",
     "P00", "A0", "INTERLEAVED", "BLOCKED",

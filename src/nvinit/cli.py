@@ -29,7 +29,7 @@ import yaml
 from .config import Config, load_config, parse_sequence
 from .hamiltonian import transition_table
 from .optimizer import REFERENCE_CYCLE1_OVERRIDES, optimize_schedule
-from .pulses import apply_swaps, initial_state, run_sequence, seg1, seg2
+from .pulses import initial_state, run_segment, run_sequence, seg1, seg2
 from .spinmodel import propagate, validate_population
 from .tomography import (amplitudes, calibration_spectrum, extract_amplitudes,
                          spectrum, synthesize_fid)
@@ -109,8 +109,8 @@ def _cmd_sweep(args) -> int:
     if args.t_max <= 0:
         raise ValueError(f"t-max must be positive, got {args.t_max:g}")
     builder = seg1 if args.segment == "seg1" else seg2
-    swapped = apply_swaps(_segment_sweep_start(args.segment, cfg), builder(0.0),
-                          cfg.rates)
+    swapped = run_segment(_segment_sweep_start(args.segment, cfg), builder(0.0),
+                          cfg.rates)[0]
     rows = []
     for t in np.linspace(0.0, args.t_max, args.steps):
         p = propagate(swapped, float(t), cfg.rates)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pulses import apply_swaps, seg1, seg2
+from .pulses import run_segment, seg1, seg2
 from .spinmodel import RateParams, propagate, validate_population
 
 __all__ = [
@@ -200,13 +200,14 @@ def _fold(state, passes, rates: RateParams, objective: str, t_max: float,
 
     A pass is (segment builder, pinned duration or None, start state or
     None).  A start state replaces the incoming one, the segment's swaps
-    run, the laser runs for the pinned or optimize_laser's duration.
+    run (the segment at zero laser duration, since propagator(0) is the
+    identity), the laser runs for the pinned or optimize_laser's duration.
     """
     done = {seg1: [], seg2: []}
     for builder, t_pinned, start in passes:
         if start is not None:
             state = validate_population(start)
-        swapped = apply_swaps(state, builder(0.0), rates)
+        swapped = run_segment(state, builder(0.0), rates)[0]
         t = t_pinned if t_pinned is not None else \
             optimize_laser(swapped, rates, objective, t_max)[0]
         state = propagate(swapped, t, rates)
@@ -219,16 +220,16 @@ def _fold(state, passes, rates: RateParams, objective: str, t_max: float,
 
 
 def run_cycle(p, rates: RateParams = RateParams(), objective: str = P00,
-              overrides=None, cycle: int = 1, t_max: float = 10.0) -> CycleResult:
+              overrides=None, cycle: int = 1) -> CycleResult:
     """One [seg1 + seg2] cycle with per-segment duration choice.
 
     Applies the seg1 swaps, picks t1 (override or optimizer on
-    [0, t_max]) and runs the laser; then the same for seg2.  An overrides
+    [0, 10] us) and runs the laser; then the same for seg2.  An overrides
     record may also pin the state handed to seg2 (see CycleOverrides).
     """
     ov = _coerce_overrides(overrides)
     passes = ((seg1, ov.t1, None), (seg2, ov.t2, ov.seg2_start))
-    return _fold(p, passes, rates, objective, t_max, cycle)[0]
+    return _fold(p, passes, rates, objective, 10.0, cycle)[0]
 
 
 def optimize_schedule(p0, rates: RateParams = RateParams(), objective: str = P00,

@@ -29,7 +29,6 @@ __all__ = [
     "seg1",
     "seg2",
     "apply_pulse",
-    "apply_swaps",
     "run_segment",
     "run_sequence",
     "initial_state",
@@ -155,14 +154,6 @@ def apply_pulse(p, pulse: Pulse, rates: RateParams = RateParams()) -> np.ndarray
     out[i] = (1.0 - f) * vec[i] + f * vec[j]
     out[j] = (1.0 - f) * vec[j] + f * vec[i]
     return out
-
-
-def apply_swaps(p, segment: Segment, rates: RateParams = RateParams()) -> np.ndarray:
-    """Apply a segment's pulses up to its closing laser (the swaps)."""
-    state = validate_population(p)
-    for pulse in segment.pulses[:-1]:
-        state = apply_pulse(state, pulse, rates)
-    return state
 
 
 def run_segment(p, segment: Segment, rates: RateParams = RateParams()):

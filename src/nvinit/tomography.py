@@ -103,12 +103,12 @@ class FidParams:
 class Spectrum:
     """Discrete spectrum on a uniform, monotonically increasing grid.
 
-    fid_length is the FID's sample count before zero padding (None if unknown).
+    fid_length is the FID's sample count before zero padding.
     """
 
     freqs_mhz: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    fid_length: int | None = None
+    fid_length: int
 
     def __post_init__(self) -> None:
         if self.freqs_mhz.shape != self.values.shape:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nvinit.pulses import (Laser, MwPi, RfPi, apply_pulse, apply_swaps,
-                           initial_state, run_segment, run_sequence, seg1, seg2)
+from nvinit.pulses import (Laser, MwPi, RfPi, apply_pulse, initial_state,
+                           run_segment, run_sequence, seg1, seg2)
 from nvinit.spinmodel import RateParams, steady_state
 
 UNIFORM_MS0 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) / 3.0
@@ -71,16 +71,6 @@ def test_laser_duration_must_be_finite():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="must be finite"):
             Laser(bad)
-
-
-def test_apply_swaps_stops_before_the_laser():
-    rng = np.random.default_rng(5)
-    for builder in (seg1, seg2):
-        p = rng.dirichlet(np.ones(6))
-        final, trace = run_segment(p, builder(0.8, swap_fidelity=0.9))
-        swapped = apply_swaps(p, builder(0.8, swap_fidelity=0.9))
-        assert np.array_equal(swapped, trace[-2].state)
-        assert np.array_equal(final, apply_pulse(swapped, Laser(0.8)))
 
 
 def test_laser_zero_is_identity():
