@@ -43,6 +43,7 @@ Pulse sequences for the simulate command use a second small schema:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -79,8 +80,8 @@ class OptimizerSettings:
     cycle1: CycleOverrides | None = REFERENCE_CYCLE1_OVERRIDES
 
     def __post_init__(self) -> None:
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
         if self.objective not in (P00, A0):
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.strategy not in (INTERLEAVED, BLOCKED):

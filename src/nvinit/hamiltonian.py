@@ -15,6 +15,7 @@ an effective |Q| closer to 4.95 MHz).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .spinmodel import LEVEL_INDEX
@@ -45,9 +46,12 @@ class HamiltonianParams:
     b_field: float = 6.1
 
     def __post_init__(self) -> None:
-        if self.d_zfs <= 0:
+        for name in ("d_zfs", "gamma_e", "gamma_n", "quadrupole", "hyperfine", "b_field"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.d_zfs > 0:
             raise ValueError(f"d_zfs must be positive, got {self.d_zfs}")
-        if self.b_field < 0:
+        if not self.b_field >= 0:
             raise ValueError(f"b_field must be nonnegative, got {self.b_field}")
 
 

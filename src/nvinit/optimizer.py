@@ -11,7 +11,8 @@ one fold over a list of laser passes, ordered by the strategy:
 
 The objective landscape is smooth with a single interior maximum, so a
 coarse grid scan followed by golden-section refinement is robust and
-cheap.  All optimization is deterministic: identical inputs give
+cheap: the grid is one batched propagator call, the refinement a few
+scalar ones.  All optimization is deterministic: identical inputs give
 bit-identical schedules.
 """
 
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pulses import run_segment, seg1, seg2
-from .spinmodel import RateParams, propagate, validate_population
+from .spinmodel import (RateParams, _check_simplex, _clamp_dust, propagate, propagator,
+                        validate_population)
 
 __all__ = [
     "P00",
@@ -52,14 +54,19 @@ _REFINE_TOL = 1e-4   # us
 _TIE_TOL = 1e-6      # objective value; ties resolve to the smallest t
 
 
+def _objective(objective: str):
+    """The objective as a function of a population vector or a (..., 6) stack."""
+    if objective == P00:
+        return lambda p: p[..., 2]
+    if objective == A0:
+        return lambda p: p[..., 2] - p[..., 5]
+    raise ValueError(f"unknown objective {objective!r}")
+
+
 def objective_value(p, objective: str = P00) -> float:
     """Evaluate an objective on a population vector."""
     vec = validate_population(p)
-    if objective == P00:
-        return float(vec[2])
-    if objective == A0:
-        return float(vec[2] - vec[5])
-    raise ValueError(f"unknown objective {objective!r}")
+    return float(_objective(objective)(vec))
 
 
 @dataclass(frozen=True)
@@ -156,10 +163,11 @@ def optimize_laser(p_post_swaps, rates: RateParams = RateParams(),
                    objective: str = P00, t_max: float = 10.0):
     """Best laser duration for a state that already had its swaps applied.
 
-    Scans a 1000-point grid on [0, t_max], refines around the best grid
-    point by golden section down to 1e-4 us, and resolves value ties
-    within 1e-6 toward the smallest duration (so an already-pumped state
-    yields t* = 0).
+    Scans a 1000-point grid on [0, t_max] with one batched propagator
+    call, refines around the best grid point by golden section down to
+    1e-4 us, and resolves value ties within 1e-6 toward the smallest
+    duration (so an already-pumped state yields t* = 0).  An unknown
+    objective is refused before anything is propagated.
 
     Returns
     -------
@@ -169,12 +177,17 @@ def optimize_laser(p_post_swaps, rates: RateParams = RateParams(),
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
     p0 = validate_population(p_post_swaps)
+    read = _objective(objective)
 
     def value_at(t: float) -> float:
         return objective_value(propagate(p0, t, rates), objective)
 
     grid = np.linspace(0.0, t_max, _GRID_POINTS)
-    vals = np.array([value_at(t) for t in grid])
+    # The same dust clamp and simplex checks as propagate and
+    # objective_value run on every grid state, all at once.
+    states = _clamp_dust(propagator(grid, rates) @ p0)
+    _check_simplex(states)
+    vals = read(states)
     best = float(vals.max())
     i0 = int(np.nonzero(vals >= best - _TIE_TOL)[0][0])
     lo = grid[max(i0 - 1, 0)]

@@ -24,6 +24,7 @@ amplitudes too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,9 +81,12 @@ class FidParams:
     n_samples: int = 2048
 
     def __post_init__(self) -> None:
-        if self.t2star <= 0:
+        for name in ("detuning", "hyperfine_split", "t2star", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.t2star > 0:
             raise ValueError(f"t2star must be positive, got {self.t2star}")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.n_samples < 256:
             raise ValueError(f"n_samples must be at least 256, got {self.n_samples}")

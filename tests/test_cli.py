@@ -129,6 +129,14 @@ class TestSpectrum:
         for value in doc["extracted_amplitudes"].values():
             assert value == pytest.approx(1 / 3, abs=1e-6)
 
+    def test_nan_decay_constant_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("fid:\n  t2star_us: .nan\n")
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fid:") and "finite" in err
+        assert err.count("\n") == 1
+
     def test_state_argument_validation(self, tmp_path, capsys):
         assert main(["spectrum", "--out", str(tmp_path), "--state", "0.1,0.2"]) == 1
         assert "six comma-separated numbers" in capsys.readouterr().err

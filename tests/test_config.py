@@ -117,6 +117,13 @@ class TestOptimizerSection:
         with pytest.raises(ConfigError, match="^optimizer:"):
             parse_config("optimizer:\n  strategy: round-robin\n")
 
+    def test_t_max_must_be_finite(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="t_max must be finite"):
+                OptimizerSettings(t_max=bad)
+        with pytest.raises(ConfigError, match="^optimizer:"):
+            parse_config("optimizer:\n  t_max_us: .nan\n")
+
 
 class TestDocumentErrors:
     def test_unknown_root_key(self):

@@ -13,6 +13,13 @@ def test_params_validation():
         HamiltonianParams(b_field=-0.1)
 
 
+def test_params_must_be_finite():
+    for kwargs in ({"b_field": float("nan")}, {"d_zfs": float("inf")},
+                   {"hyperfine": float("nan")}):
+        with pytest.raises(ValueError, match="must be finite"):
+            HamiltonianParams(**kwargs)
+
+
 def test_target_level_energy_is_zero():
     assert energy((0, 0)) == 0.0
 

@@ -6,7 +6,7 @@ from nvinit.optimizer import (A0, BLOCKED, INTERLEAVED, P00,
                               objective_value, optimize_laser, optimize_schedule,
                               run_cycle)
 from nvinit.pulses import initial_state
-from nvinit.spinmodel import steady_state
+from nvinit.spinmodel import RateParams, propagate, steady_state
 
 PUBLISHED = np.array([0.07, 0.33, 0.55, 0.0, 0.0, 0.05])
 SEG2_POST_SWAP = np.array([0.07, 0.0, 0.55, 0.0, 0.05, 0.33])
@@ -211,6 +211,28 @@ class TestNonFiniteInput:
     def test_t_max_must_be_finite(self):
         with pytest.raises(ValueError, match="t_max must be finite"):
             optimize_laser(PUBLISHED, t_max=float("inf"))
+
+
+class TestBatchedGrid:
+    def test_unknown_objective(self):
+        with pytest.raises(ValueError, match="unknown objective"):
+            optimize_laser(PUBLISHED, objective="fidelity")
+
+    def test_exact_degeneracy(self):
+        # 3 * 0.25 == 0.75 exactly: the grid runs the t branch of phi_1
+        rates = RateParams(k_s=0.75, k_i=0.25)
+        for obj in (P00, A0):
+            for t_max in (0.1, 10.0, 50.0):
+                t, v = optimize_laser(SEG2_POST_SWAP, rates, obj, t_max)
+                assert 0.0 <= t <= t_max and np.isfinite(v)
+
+    def test_value_is_the_objective_at_the_returned_duration(self):
+        rng = np.random.default_rng(5)
+        for obj in (P00, A0):
+            for _ in range(10):
+                p = rng.dirichlet(np.ones(6))
+                t, v = optimize_laser(p, objective=obj)
+                assert abs(v - objective_value(propagate(p, t), obj)) <= 1e-15
 
 
 def test_a0_objective_prefers_longer_first_pulse():

@@ -146,6 +146,31 @@ class TestSingleClosedForm:
                 propagate(SEG1_START, t)
 
 
+class TestBatchedPropagator:
+    TIMES = np.linspace(0.0, 12.0, 57)
+
+    def test_matches_scalar_calls(self):
+        ki = 0.21008403361344538
+        for rates in (RateParams(), RateParams(k_s=0.75, k_i=0.25),
+                      RateParams(k_s=3 * ki + 1e-7, k_i=ki)):
+            stack = propagator(self.TIMES, rates)
+            assert stack.shape == (len(self.TIMES), 6, 6)
+            loop = np.stack([propagator(float(t), rates) for t in self.TIMES])
+            assert np.abs(stack - loop).max() <= 1e-15
+
+    def test_zero_duration_is_exactly_the_identity(self):
+        assert np.array_equal(propagator(np.array([0.0]))[0], np.eye(6))
+
+    def test_columns_of_a_grid_sum_to_one(self):
+        stack = propagator(np.linspace(0.0, 10.0, 1000))
+        assert np.abs(stack.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_bad_entries_rejected(self):
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="must be finite and nonnegative"):
+                propagator(np.array([0.0, 1.0, bad]))
+
+
 class TestPropagate:
     def test_seg1_laser_endpoint(self):
         got = propagate(SEG1_START, 0.5)
@@ -206,6 +231,12 @@ class TestPropagateNumeric:
             propagate_numeric(SEG1_START, 1.0, step=0.0)
         with pytest.raises(ValueError):
             propagate_numeric(SEG1_START, 1.0, step=0.02)
+
+    def test_non_finite_duration_rejected(self):
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="must be finite") as exc:
+                propagate_numeric(SEG1_START, t)
+            assert "\n" not in str(exc.value)
 
     def test_degenerate_rates_regular(self):
         ki = 0.2

@@ -65,6 +65,13 @@ class TestFidParams:
         with pytest.raises(ValueError):
             FidParams(detuning=24.0, dt=0.02)  # beyond Nyquist
 
+    def test_non_finite_fields_refused(self):
+        nan = float("nan")
+        for kwargs in ({"t2star": nan}, {"dt": nan}, {"detuning": nan},
+                       {"hyperfine_split": float("inf")}):
+            with pytest.raises(ValueError, match="must be finite"):
+                FidParams(**kwargs)
+
     def test_nyquist_boundary(self):
         FidParams(detuning=22.0, dt=0.02, hyperfine_split=-2.16)  # 24.16 < 25
         with pytest.raises(ValueError):
