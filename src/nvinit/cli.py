@@ -106,8 +106,8 @@ def _cmd_sweep(args) -> int:
     cfg, out = _setup(args)
     if args.steps < 2:
         raise ValueError(f"steps must be at least 2, got {args.steps}")
-    if args.t_max <= 0:
-        raise ValueError(f"t-max must be positive, got {args.t_max:g}")
+    if not 0.0 < args.t_max < np.inf:
+        raise ValueError(f"t-max must be positive and finite, got --t-max {args.t_max:g}")
     builder = seg1 if args.segment == "seg1" else seg2
     swapped = run_segment(_segment_sweep_start(args.segment, cfg), builder(0.0),
                           cfg.rates)[0]

@@ -9,11 +9,11 @@ one fold over a list of laser passes, ordered by the strategy:
     interleaved:  [seg1, seg2] x N
     blocked:      [seg1] x N + [seg2] x N
 
-The objective landscape is smooth with a single interior maximum, so a
-coarse grid scan followed by golden-section refinement is robust and
-cheap: the grid is one batched propagator call, the refinement a few
-scalar ones.  All optimization is deterministic: identical inputs give
-bit-identical schedules.
+Both objectives are linear functionals w . p of the state, so along a
+laser pulse each is a constant plus three exponential modes with at most
+one stationary point, found in closed form: the optimum over a duration
+interval is at an end or at that point.  All optimization is
+deterministic: identical inputs give bit-identical schedules.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pulses import run_segment, seg1, seg2
-from .spinmodel import (RateParams, _check_simplex, _clamp_dust, propagate, propagator,
-                        validate_population)
+from .spinmodel import RateParams, _line_coefficients, propagate, validate_population
 
 __all__ = [
     "P00",
@@ -49,24 +48,24 @@ A0 = "a0"     # spectral amplitude of the m_I=0 line, p[2] - p[5]
 INTERLEAVED = "interleaved"
 BLOCKED = "blocked"
 
-_GRID_POINTS = 1000
-_REFINE_TOL = 1e-4   # us
 _TIE_TOL = 1e-6      # objective value; ties resolve to the smallest t
 
+#: Weight vector w of each objective w . p.
+_WEIGHTS = {P00: np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
+            A0: np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0])}
 
-def _objective(objective: str):
-    """The objective as a function of a population vector or a (..., 6) stack."""
-    if objective == P00:
-        return lambda p: p[..., 2]
-    if objective == A0:
-        return lambda p: p[..., 2] - p[..., 5]
-    raise ValueError(f"unknown objective {objective!r}")
+
+def _objective(objective: str) -> np.ndarray:
+    """The weight vector w of an objective w . p."""
+    if objective not in _WEIGHTS:
+        raise ValueError(f"unknown objective {objective!r}")
+    return _WEIGHTS[objective]
 
 
 def objective_value(p, objective: str = P00) -> float:
     """Evaluate an objective on a population vector."""
     vec = validate_population(p)
-    return float(_objective(objective)(vec))
+    return float(_objective(objective) @ vec)
 
 
 @dataclass(frozen=True)
@@ -133,41 +132,19 @@ class Schedule:
         return self.cycles[-1].end_state
 
 
-def _golden_section_max(f, a: float, b: float, tol: float = _REFINE_TOL) -> float:
-    """Golden-section maximization on [a, b] down to bracket width tol."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    inv_phi_sq = (3.0 - math.sqrt(5.0)) / 2.0
-    span = b - a
-    if span <= tol:
-        return 0.5 * (a + b)
-    n = int(math.ceil(math.log(tol / span) / math.log(inv_phi)))
-    c = a + inv_phi_sq * span
-    d = a + inv_phi * span
-    yc = f(c)
-    yd = f(d)
-    for _ in range(n - 1):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            span *= inv_phi
-            c = a + inv_phi_sq * span
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            span *= inv_phi
-            d = a + inv_phi * span
-            yd = f(d)
-    return 0.5 * (a + d) if yc > yd else 0.5 * (c + b)
-
-
 def optimize_laser(p_post_swaps, rates: RateParams = RateParams(),
                    objective: str = P00, t_max: float = 10.0):
     """Best laser duration for a state that already had its swaps applied.
 
-    Scans a 1000-point grid on [0, t_max] with one batched propagator
-    call, refines around the best grid point by golden section down to
-    1e-4 us, and resolves value ties within 1e-6 toward the smallest
-    duration (so an already-pumped state yields t* = 0).  An unknown
-    objective is refused before anything is propagated.
+    Along the pulse the objective is f(t) = c0 + e^{-m t} [A + B e^{-g t}
+    + C phi_1(t)] (see spinmodel.propagator), and f'(t) = 0 has at most
+    one root: e^{-g t} = 1 + g K / D with K = m A - C + (m + g) B and
+    D = g (C - (m + g) B) + m C, whose g -> 0 limit t = -K / D holds at
+    g = 0.  The candidates are 0, that root when it lies in (0, t_max),
+    and t_max, each scored on the propagated state; value ties within
+    1e-6 resolve toward the smallest duration (so an already-pumped state
+    yields t* = 0).  An unknown objective is refused before anything is
+    propagated.
 
     Returns
     -------
@@ -177,26 +154,17 @@ def optimize_laser(p_post_swaps, rates: RateParams = RateParams(),
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
     p0 = validate_population(p_post_swaps)
-    read = _objective(objective)
-
-    def value_at(t: float) -> float:
-        return objective_value(propagate(p0, t, rates), objective)
-
-    grid = np.linspace(0.0, t_max, _GRID_POINTS)
-    # The same dust clamp and simplex checks as propagate and
-    # objective_value run on every grid state, all at once.
-    states = _clamp_dust(propagator(grid, rates) @ p0)
-    _check_simplex(states)
-    vals = read(states)
-    best = float(vals.max())
-    i0 = int(np.nonzero(vals >= best - _TIE_TOL)[0][0])
-    lo = grid[max(i0 - 1, 0)]
-    hi = grid[min(i0 + 1, len(grid) - 1)]
-    t_ref = _golden_section_max(value_at, float(lo), float(hi))
-    candidates = [(float(grid[i0]), float(vals[i0])), (float(t_ref), value_at(t_ref))]
-    top = max(v for _, v in candidates)
-    t_star, value = min((t, v) for t, v in candidates if v >= top - _TIE_TOL)
-    return t_star, value
+    _, a, b, c, m, g = _line_coefficients(_objective(objective), p0, rates)
+    k = m * a - c + (m + g) * b
+    d = g * (c - (m + g) * b) + m * c
+    durations = [0.0, float(t_max)]
+    if d != 0.0 and g * k / d > -1.0:
+        t_root = -math.log1p(g * k / d) / g if g > 0.0 else -k / d
+        if 0.0 < t_root < t_max:
+            durations.insert(1, t_root)
+    scored = [(t, objective_value(propagate(p0, t, rates), objective)) for t in durations]
+    top = max(v for _, v in scored)
+    return min((t, v) for t, v in scored if v >= top - _TIE_TOL)
 
 
 def _coerce_overrides(overrides) -> CycleOverrides:

@@ -185,7 +185,7 @@ def initial_state(rates: RateParams = RateParams(), init_laser: float = 5.0) -> 
     for init_laser us.  With the default 5 us this lands within 1e-4 of
     (1/3, 1/3, 1/3, 0, 0, 0).
     """
-    if init_laser <= 0:
-        raise ValueError(f"init_laser must be positive, got {init_laser}")
+    if not 0.0 < init_laser < math.inf:
+        raise ValueError(f"init_laser must be finite and positive, got {init_laser}")
     mixed = np.full(6, 1.0 / 6.0)
     return propagate(mixed, init_laser, rates)

@@ -97,29 +97,23 @@ def validate_population(p) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (6,):
         raise ValueError(f"population vector must have 6 entries, got shape {arr.shape}")
-    _check_simplex(arr[None])
+    if not np.isfinite(arr).all():
+        raise ValueError("population vector must be finite")
+    if arr.min() < -_SUM_TOL or arr.max() > 1.0 + _SUM_TOL:
+        raise ValueError(f"population entries must lie in [0, 1]: {arr}")
+    total = arr.sum()
+    if abs(total - 1.0) > _SUM_TOL:
+        raise ValueError(f"population vector must sum to 1, got {float(total)!r}")
     return arr
 
 
-def _check_simplex(rows: np.ndarray) -> None:
-    """Check each row of an (n, 6) stack of population vectors."""
-    if not np.isfinite(rows).all():
-        raise ValueError("population vector must be finite")
-    if rows.min() < -_SUM_TOL or rows.max() > 1.0 + _SUM_TOL:
-        i = ((rows < -_SUM_TOL) | (rows > 1.0 + _SUM_TOL)).any(axis=1).argmax()
-        raise ValueError(f"population entries must lie in [0, 1]: {rows[i]}")
-    totals = rows.sum(axis=1)
-    off = np.abs(totals - 1.0)
-    if off.max() > _SUM_TOL:
-        raise ValueError(
-            f"population vector must sum to 1, got {float(totals[off.argmax()])!r}")
+def _check_duration(t: float) -> None:
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"duration must be finite and nonnegative, got {t}")
 
 
 def _clamp_dust(p: np.ndarray) -> np.ndarray:
-    """Zero out tiny negative float dust; larger negatives are a bug.
-
-    Works on one population vector or on a stack of them.
-    """
+    """Zero out tiny negative float dust; larger negatives are a bug."""
     low = p.min()
     if low < -_NEG_CLAMP:
         raise ValueError(f"propagation produced a negative population {low!r}")
@@ -148,54 +142,60 @@ def rate_matrix(rates: RateParams = RateParams()) -> np.ndarray:
     return m
 
 
-def propagator(t, rates: RateParams = RateParams()) -> np.ndarray:
-    """Propagator exp(M t) of the rate equation, for one duration or many.
+def propagator(t: float, rates: RateParams = RateParams()) -> np.ndarray:
+    """Propagator exp(M t) of the rate equation.
 
     Built from the known eigenstructure of M (eigenvalues 0, -3*k_i twice
     and -k_s three times), one closed form for every pair of rates.  The
     m_s=-1 feed into the nuclear modes, k_s (e^{-k_s t} - e^{-3k_i t}) /
     (3k_i - k_s), is evaluated as k_s e^{-min(k_s, 3k_i) t} phi_1 with
     phi_1 = -expm1(-g t)/g, g = |3k_i - k_s| (t at g = 0), which neither
-    cancels near 3k_i = k_s nor overflows at long t.  An array of
-    durations runs the same formula elementwise with numpy, so a grid of
-    n durations costs one call instead of n.
+    cancels near 3k_i = k_s nor overflows at long t.
 
     Parameters
     ----------
-    t : float or numpy.ndarray
-        Duration in us, finite and t >= 0; or an array of such durations.
+    t : float
+        Duration in us, finite and t >= 0.
     rates : RateParams
         Pumping rates.
 
     Returns
     -------
-    numpy.ndarray, shape (6, 6), or t.shape + (6, 6) for an array t
+    numpy.ndarray, shape (6, 6)
         Columns are probability vectors (sum to 1).
     """
-    if isinstance(t, np.ndarray):
-        ok = (t >= 0.0) & (t < math.inf)
-        if not ok.all():
-            raise ValueError(
-                f"duration must be finite and nonnegative, got {t[~ok][0]}")
-        u = np.zeros(t.shape + (6, 6))
-        t = t[..., None, None]   # broadcast each duration over a 3x3 block
-        exp, expm1, maximum = np.exp, np.expm1, np.maximum
-    elif not 0.0 <= t < math.inf:
-        raise ValueError(f"duration must be finite and nonnegative, got {t}")
-    else:
-        u = np.zeros((6, 6))
-        exp, expm1, maximum = math.exp, math.expm1, max
+    _check_duration(t)
+    u = np.zeros((6, 6))
     ks, ki = rates.k_s, rates.k_i
-    e3 = exp(-3.0 * ki * t)
-    es = exp(-ks * t)
+    e3 = math.exp(-3.0 * ki * t)
+    es = math.exp(-ks * t)
     g = abs(3.0 * ki - ks)
-    phi1 = -expm1(-g * t) / g if g > 0.0 else t
-    # maximum(es, e3) is e^{-min(k_s, 3 k_i) t}: the slower of the two decays.
-    phi = ks * maximum(es, e3) * phi1
-    u[..., :3, :3] = _THIRD + e3 * _EYE3_MINUS_THIRD
-    u[..., :3, 3:] = (1.0 - es) * _THIRD + phi * _EYE3_MINUS_THIRD
-    u[..., 3:, 3:] = es * _EYE3
+    phi1 = -math.expm1(-g * t) / g if g > 0.0 else t
+    # max(es, e3) is e^{-min(k_s, 3 k_i) t}: the slower of the two decays.
+    phi = ks * max(es, e3) * phi1
+    u[:3, :3] = _THIRD + e3 * _EYE3_MINUS_THIRD
+    u[:3, 3:] = (1.0 - es) * _THIRD + phi * _EYE3_MINUS_THIRD
+    u[3:, 3:] = es * _EYE3
     return u
+
+
+def _line_coefficients(w: np.ndarray, p: np.ndarray, rates: RateParams) -> tuple:
+    """Eigenmode coefficients of f(t) = w . propagator(t, rates) @ p.
+
+    f(t) = c0 + e^{-m t} [A + B e^{-g t} + C phi_1(t)] with
+    m = min(k_s, 3k_i), g = |3k_i - k_s| and phi_1 as in propagator.
+    Returns (c0, A, B, C, m, g) as floats.
+    """
+    ks, ki = rates.k_s, rates.k_i
+    u_mean = w[:3].mean()
+    u_mode = w[:3] - u_mean             # weight on the decaying nuclear modes
+    c0 = u_mean * p.sum()
+    nuclear = u_mode @ p[:3]            # amplitude of e^{-3 k_i t}
+    electron = w[3:] @ p[3:] - u_mean * p[3:].sum()   # amplitude of e^{-k_s t}
+    c = ks * (u_mode @ p[3:])
+    a, b = (nuclear, electron) if 3.0 * ki <= ks else (electron, nuclear)
+    return (float(c0), float(a), float(b), float(c),
+            min(ks, 3.0 * ki), abs(3.0 * ki - ks))
 
 
 def propagate(p, t: float, rates: RateParams = RateParams()) -> np.ndarray:
@@ -232,8 +232,7 @@ def propagate_numeric(p, t: float, rates: RateParams = RateParams(),
     """
     if not 0.0 < step <= 1e-2:
         raise ValueError(f"step must be in (0, 1e-2] us, got {step}")
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"duration must be finite and nonnegative, got {t}")
+    _check_duration(t)
     vec = validate_population(p)
     if t == 0.0:
         return vec.copy()
@@ -278,8 +277,7 @@ def seg1_reference_solution(t: float, rates: RateParams = RateParams()) -> np.nd
     components it matches propagate() from (0,1,1,0,0,1)/3 exactly.
     Never used as the production path.
     """
-    if t < 0:
-        raise ValueError(f"duration must be nonnegative, got {t}")
+    _check_duration(t)
     es, e3, den = _exp_pair(t, rates)
     ks, ki = rates.k_s, rates.k_i
     c1 = 1.0 - ki * (es - e3) / den
@@ -300,8 +298,7 @@ def seg2_reference_solution(t: float, rates: RateParams = RateParams()) -> np.nd
     component 2 is good for nothing beyond documenting the defect.
     Never used as the production path.
     """
-    if t < 0:
-        raise ValueError(f"duration must be nonnegative, got {t}")
+    _check_duration(t)
     es, e3, den = _exp_pair(t, rates)
     ks, ki = rates.k_s, rates.k_i
     c1 = 0.34 + (e3 * (0.26 * ks - 0.4 * ki) - 0.38 * ki * es) / den

@@ -158,6 +158,12 @@ def test_initial_state_requires_positive_duration():
         initial_state(init_laser=0.0)
 
 
+def test_initial_state_refuses_non_finite_duration():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="init_laser must be finite"):
+            initial_state(init_laser=bad)
+
+
 def test_initial_state_custom_rates():
     fast = RateParams(k_s=20.0, k_i=0.01)
     state = initial_state(fast, init_laser=5.0)

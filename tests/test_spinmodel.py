@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from nvinit.spinmodel import (RateParams, propagate, propagate_numeric, propagator,
-                              rate_matrix, seg1_reference_solution,
-                              seg2_reference_solution, steady_state,
-                              validate_population)
+from nvinit.spinmodel import (RateParams, _line_coefficients, propagate,
+                              propagate_numeric, propagator, rate_matrix,
+                              seg1_reference_solution, seg2_reference_solution,
+                              steady_state, validate_population)
 
 STEADY = np.array([1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0])
 SEG1_START = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 1.0]) / 3.0
@@ -98,7 +98,7 @@ class TestPropagator:
         v = propagator(0.7) @ propagator(0.3)
         assert np.abs(u - v).max() < 1e-10
 
-    def test_degenerate_fallback_matches_numeric(self):
+    def test_degenerate_rates_match_numeric(self):
         r = RateParams(k_s=0.6302521008403361, k_i=0.21008403361344538)
         assert r.degenerate
         p = np.array([0.1, 0.2, 0.1, 0.25, 0.15, 0.2])
@@ -107,9 +107,9 @@ class TestPropagator:
             b = propagate_numeric(p, t, r)
             assert np.abs(a - b).max() < 1e-8
 
-    def test_closed_form_near_cutoff_matches_numeric(self):
-        # just outside the fallback cutoff the closed-form denominators are
-        # ~1e-6; both paths must still agree for the same rates
+    def test_rates_just_off_degeneracy_match_numeric(self):
+        # 1.01e-6 off 3k_i = k_s, just outside RateParams.degenerate, phi_1
+        # divides by g ~ 1e-6; the closed form must still agree with RK4
         ki = 0.21008403361344538
         outside = RateParams(k_s=3 * ki + 1.01e-6, k_i=ki)
         assert not outside.degenerate
@@ -146,29 +146,18 @@ class TestSingleClosedForm:
                 propagate(SEG1_START, t)
 
 
-class TestBatchedPropagator:
-    TIMES = np.linspace(0.0, 12.0, 57)
-
-    def test_matches_scalar_calls(self):
-        ki = 0.21008403361344538
-        for rates in (RateParams(), RateParams(k_s=0.75, k_i=0.25),
-                      RateParams(k_s=3 * ki + 1e-7, k_i=ki)):
-            stack = propagator(self.TIMES, rates)
-            assert stack.shape == (len(self.TIMES), 6, 6)
-            loop = np.stack([propagator(float(t), rates) for t in self.TIMES])
-            assert np.abs(stack - loop).max() <= 1e-15
-
-    def test_zero_duration_is_exactly_the_identity(self):
-        assert np.array_equal(propagator(np.array([0.0]))[0], np.eye(6))
-
-    def test_columns_of_a_grid_sum_to_one(self):
-        stack = propagator(np.linspace(0.0, 10.0, 1000))
-        assert np.abs(stack.sum(axis=1) - 1.0).max() <= 1e-12
-
-    def test_bad_entries_rejected(self):
-        for bad in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="must be finite and nonnegative"):
-                propagator(np.array([0.0, 1.0, bad]))
+class TestLineCoefficients:
+    def test_rebuild_the_weighted_propagator(self):
+        # w . U(t) p = c0 + e^{-m t} [A + B e^{-g t} + C phi_1(t)]
+        rng = np.random.default_rng(8)
+        for rates in (RateParams(), RateParams(k_s=0.75, k_i=0.25), RateParams(k_i=0.0)):
+            for _ in range(10):
+                w, p = rng.normal(size=6), random_simplex(rng)
+                c0, a, b, c, m, g = _line_coefficients(w, p, rates)
+                for t in (0.0, 0.3, 2.0, 20.0):
+                    phi1 = -np.expm1(-g * t) / g if g > 0.0 else t
+                    f = c0 + np.exp(-m * t) * (a + b * np.exp(-g * t) + c * phi1)
+                    assert abs(f - w @ propagator(t, rates) @ p) <= 1e-14
 
 
 class TestPropagate:
@@ -296,8 +285,18 @@ class TestSeg1Reference:
         with pytest.raises(ValueError):
             seg1_reference_solution(1.0, RateParams(k_s=0.6, k_i=0.2))
 
+    def test_non_finite_duration_rejected(self):
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="must be finite and nonnegative"):
+                seg1_reference_solution(t)
+
 
 class TestSeg2Reference:
+    def test_non_finite_duration_rejected(self):
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="must be finite and nonnegative"):
+                seg2_reference_solution(t)
+
     def test_component2_breaks_its_initial_condition(self):
         got = seg2_reference_solution(0.0)
         assert got[1] == pytest.approx(0.612126582278481, abs=1e-12)
