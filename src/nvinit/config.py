@@ -43,14 +43,13 @@ Pulse sequences for the simulate command use a second small schema:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import yaml
 
 from .hamiltonian import HamiltonianParams
-from .optimizer import (A0, BLOCKED, INTERLEAVED, P00, REFERENCE_CYCLE1_OVERRIDES,
-                        CycleOverrides)
+from .optimizer import (INTERLEAVED, P00, REFERENCE_CYCLE1_OVERRIDES, CycleOverrides,
+                        _check_rules)
 from .pulses import Laser, MwPi, RfPi
 from .spinmodel import RateParams, validate_population
 from .tomography import FidParams
@@ -80,14 +79,7 @@ class OptimizerSettings:
     cycle1: CycleOverrides | None = REFERENCE_CYCLE1_OVERRIDES
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.t_max < math.inf:
-            raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
-        if self.objective not in (P00, A0):
-            raise ValueError(f"unknown objective {self.objective!r}")
-        if self.strategy not in (INTERLEAVED, BLOCKED):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not 1 <= self.n_cycles <= 20:
-            raise ValueError(f"n_cycles must be in [1, 20], got {self.n_cycles}")
+        _check_rules(self.objective, self.t_max, self.strategy, self.n_cycles)
 
 
 @dataclass(frozen=True)
@@ -138,6 +130,8 @@ def _string(node, path: str) -> str:
 
 
 def _state_vector(node, path: str):
+    if node is None:                # null: no state given
+        return None
     if not isinstance(node, (list, tuple)):
         raise ConfigError(f"{path} must be a list of 6 numbers")
     values = tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(node))
@@ -183,80 +177,56 @@ def _parse_rates(node) -> RateParams:
     return RateParams(k_s=k_s, k_i=k_i)
 
 
-_HAMILTONIAN_KEYS = {
-    "d_zfs_mhz": "d_zfs",
-    "gamma_e_mhz_per_mt": "gamma_e",
-    "gamma_n_mhz_per_mt": "gamma_n",
-    "quadrupole_mhz": "quadrupole",
-    "hyperfine_mhz": "hyperfine",
-    "b_field_mt": "b_field",
-}
-
-_FID_KEYS = {
-    "detuning_mhz": "detuning",
-    "hyperfine_split_mhz": "hyperfine_split",
-    "t2star_us": "t2star",
-    "dt_us": "dt",
-    "n_samples": "n_samples",
-}
-
-
-def _parse_section(node, path: str, key_map: dict, cls, int_keys=()):
+def _parse_section(node, path: str, table: dict, cls):
+    """Build cls from a mapping; table maps each key to (field, reader)."""
     section = _mapping(node, path)
-    _check_keys(section, key_map.keys(), path)
-    kwargs = {}
-    for key, field in key_map.items():
-        if key not in section:
-            continue
-        full = _join(path, key)
-        if key in int_keys:
-            kwargs[field] = _integer(section[key], full)
-        else:
-            kwargs[field] = _number(section[key], full)
+    _check_keys(section, table, path)
+    kwargs = {field: reader(section[key], _join(path, key))
+              for key, (field, reader) in table.items() if key in section}
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_cycle1(node, path: str) -> CycleOverrides | None:
+_HAMILTONIAN_KEYS = {
+    "d_zfs_mhz": ("d_zfs", _number),
+    "gamma_e_mhz_per_mt": ("gamma_e", _number),
+    "gamma_n_mhz_per_mt": ("gamma_n", _number),
+    "quadrupole_mhz": ("quadrupole", _number),
+    "hyperfine_mhz": ("hyperfine", _number),
+    "b_field_mt": ("b_field", _number),
+}
+
+_FID_KEYS = {
+    "detuning_mhz": ("detuning", _number),
+    "hyperfine_split_mhz": ("hyperfine_split", _number),
+    "t2star_us": ("t2star", _number),
+    "dt_us": ("dt", _number),
+    "n_samples": ("n_samples", _integer),
+}
+
+_CYCLE1_KEYS = {
+    "t1_us": ("t1", _number),
+    "t2_us": ("t2", _number),
+    "seg2_start": ("seg2_start", _state_vector),
+}
+
+
+def _cycle1(node, path: str) -> CycleOverrides | None:
+    """The cycle1 section; null disables the first-cycle overrides."""
     if node is None:
         return None
-    section = _mapping(node, path)
-    _check_keys(section, {"t1_us", "t2_us", "seg2_start"}, path)
-    kwargs = {}
-    if "t1_us" in section:
-        kwargs["t1"] = _number(section["t1_us"], _join(path, "t1_us"))
-    if "t2_us" in section:
-        kwargs["t2"] = _number(section["t2_us"], _join(path, "t2_us"))
-    if "seg2_start" in section and section["seg2_start"] is not None:
-        kwargs["seg2_start"] = _state_vector(section["seg2_start"],
-                                             _join(path, "seg2_start"))
-    try:
-        return CycleOverrides(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _parse_section(node, path, _CYCLE1_KEYS, CycleOverrides)
 
 
-def _parse_optimizer(node) -> OptimizerSettings:
-    section = _mapping(node, "optimizer")
-    _check_keys(section, {"t_max_us", "objective", "n_cycles", "strategy", "cycle1"},
-                "optimizer")
-    kwargs = {}
-    if "t_max_us" in section:
-        kwargs["t_max"] = _number(section["t_max_us"], "optimizer.t_max_us")
-    if "objective" in section:
-        kwargs["objective"] = _string(section["objective"], "optimizer.objective")
-    if "n_cycles" in section:
-        kwargs["n_cycles"] = _integer(section["n_cycles"], "optimizer.n_cycles")
-    if "strategy" in section:
-        kwargs["strategy"] = _string(section["strategy"], "optimizer.strategy")
-    if "cycle1" in section:
-        kwargs["cycle1"] = _parse_cycle1(section["cycle1"], "optimizer.cycle1")
-    try:
-        return OptimizerSettings(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"optimizer: {exc}") from None
+_OPTIMIZER_KEYS = {
+    "t_max_us": ("t_max", _number),
+    "objective": ("objective", _string),
+    "n_cycles": ("n_cycles", _integer),
+    "strategy": ("strategy", _string),
+    "cycle1": ("cycle1", _cycle1),
+}
 
 
 def _load_yaml(text: str):
@@ -279,9 +249,9 @@ def parse_config(text: str) -> Config:
         rates=_parse_rates(root.get("rates")),
         hamiltonian=_parse_section(root.get("hamiltonian"), "hamiltonian",
                                    _HAMILTONIAN_KEYS, HamiltonianParams),
-        fid=_parse_section(root.get("fid"), "fid", _FID_KEYS, FidParams,
-                           int_keys={"n_samples"}),
-        optimizer=_parse_optimizer(root.get("optimizer")),
+        fid=_parse_section(root.get("fid"), "fid", _FID_KEYS, FidParams),
+        optimizer=_parse_section(root.get("optimizer"), "optimizer", _OPTIMIZER_KEYS,
+                                 OptimizerSettings),
         output_dir=output_dir,
     )
 
@@ -349,9 +319,7 @@ def parse_sequence(text: str):
     """
     root = _mapping(_load_yaml(text), "")
     _check_keys(root, {"initial_state", "pulses"}, "")
-    state = None
-    if root.get("initial_state") is not None:
-        state = _state_vector(root["initial_state"], "initial_state")
+    state = _state_vector(root.get("initial_state"), "initial_state")
     pulses_node = root.get("pulses")
     if pulses_node is None:
         return state, ()

@@ -12,19 +12,22 @@ one fold over a list of laser passes, ordered by the strategy:
 Both objectives are linear functionals w . p of the state, so along a
 laser pulse each is a constant plus three exponential modes with at most
 one stationary point, found in closed form: the optimum over a duration
-interval is at an end or at that point.  All optimization is
-deterministic: identical inputs give bit-identical schedules.
+interval is at an end or at that point.  The public functions check
+their inputs once; the fold runs every pulse through apply_pulse's
+unchecked step.  All optimization is deterministic: identical inputs
+give bit-identical schedules.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pulses import run_segment, seg1, seg2
-from .spinmodel import RateParams, _line_coefficients, propagate, validate_population
+from .pulses import _step, seg1, seg2
+from .spinmodel import RateParams, _line_coefficients, _propagate, validate_population
 
 __all__ = [
     "P00",
@@ -55,17 +58,28 @@ _WEIGHTS = {P00: np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
             A0: np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0])}
 
 
-def _objective(objective: str) -> np.ndarray:
-    """The weight vector w of an objective w . p."""
-    if objective not in _WEIGHTS:
+def _check_rules(objective: str, t_max: float = 10.0, strategy: str = INTERLEAVED,
+                 n_cycles: int = 1) -> np.ndarray:
+    """The one check of the schedule rules; returns the objective's weights.
+
+    Every public optimizer function and config.OptimizerSettings call it first.
+    """
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
+    if objective not in (P00, A0):
         raise ValueError(f"unknown objective {objective!r}")
+    if strategy not in (INTERLEAVED, BLOCKED):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if isinstance(n_cycles, bool) or not isinstance(n_cycles, numbers.Integral):
+        raise ValueError(f"n_cycles must be an integer, got {n_cycles!r}")
+    if not 1 <= n_cycles <= 20:
+        raise ValueError(f"n_cycles must be in [1, 20], got {n_cycles}")
     return _WEIGHTS[objective]
 
 
 def objective_value(p, objective: str = P00) -> float:
     """Evaluate an objective on a population vector."""
-    vec = validate_population(p)
-    return float(_objective(objective) @ vec)
+    return float(_check_rules(objective) @ validate_population(p))
 
 
 @dataclass(frozen=True)
@@ -111,13 +125,6 @@ class CycleResult:
     purity_after_seg2: float
     end_state: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.t1 < 0 or self.t2 < 0:
-            raise ValueError("durations must be nonnegative")
-        for v in (self.purity_after_seg1, self.purity_after_seg2):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"purity must lie in [0, 1], got {v}")
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -151,20 +158,27 @@ def optimize_laser(p_post_swaps, rates: RateParams = RateParams(),
     (float, float)
         Optimal duration t_star in us and the objective value there.
     """
-    if not 0.0 < t_max < math.inf:
-        raise ValueError(f"t_max must be finite and positive, got {t_max}")
-    p0 = validate_population(p_post_swaps)
-    _, a, b, c, m, g = _line_coefficients(_objective(objective), p0, rates)
+    w = _check_rules(objective, t_max)
+    return _line_search(w, validate_population(p_post_swaps), rates, t_max)[:2]
+
+
+def _line_search(w: np.ndarray, p0: np.ndarray, rates: RateParams, t_max: float) -> tuple:
+    """optimize_laser on a checked state and weight: (t_star, value, end state)."""
+    _, a, b, c, m, g = _line_coefficients(w, p0, rates)
     k = m * a - c + (m + g) * b
     d = g * (c - (m + g) * b) + m * c
-    durations = [0.0, float(t_max)]
+    durations = [float(t_max)]
     if d != 0.0 and g * k / d > -1.0:
         t_root = -math.log1p(g * k / d) / g if g > 0.0 else -k / d
         if 0.0 < t_root < t_max:
-            durations.insert(1, t_root)
-    scored = [(t, objective_value(propagate(p0, t, rates), objective)) for t in durations]
-    top = max(v for _, v in scored)
-    return min((t, v) for t, v in scored if v >= top - _TIE_TOL)
+            durations.insert(0, t_root)
+    # propagator(0) is exactly the identity, so t = 0 scores p0 itself.
+    scored = [(0.0, float(w @ p0), p0)]
+    for t in durations:
+        state = _propagate(p0, t, rates)
+        scored.append((t, float(w @ state), state))
+    top = max(value for _, value, _ in scored)
+    return next(s for s in scored if s[1] >= top - _TIE_TOL)
 
 
 def _coerce_overrides(overrides) -> CycleOverrides:
@@ -175,23 +189,27 @@ def _coerce_overrides(overrides) -> CycleOverrides:
     return CycleOverrides(*overrides)
 
 
-def _fold(state, passes, rates: RateParams, objective: str, t_max: float,
+def _fold(state: np.ndarray, passes, rates: RateParams, w: np.ndarray, t_max: float,
           first_cycle: int = 1) -> tuple:
     """Run laser passes in order; row i pairs the i-th seg1 and seg2 passes.
 
     A pass is (segment builder, pinned duration or None, start state or
     None).  A start state replaces the incoming one, the segment's swaps
-    run (the segment at zero laser duration, since propagator(0) is the
-    identity), the laser runs for the pinned or optimize_laser's duration.
+    run, and its laser runs for the pinned duration or the one the line
+    search on w picks, all through the pulse step of pulses.apply_pulse.
+    The callers have checked every input, so nothing here is checked again.
     """
+    swaps = {builder: builder(0.0).pulses[:-1] for builder in (seg1, seg2)}
     done = {seg1: [], seg2: []}
     for builder, t_pinned, start in passes:
         if start is not None:
-            state = validate_population(start)
-        swapped = run_segment(state, builder(0.0), rates)[0]
-        t = t_pinned if t_pinned is not None else \
-            optimize_laser(swapped, rates, objective, t_max)[0]
-        state = propagate(swapped, t, rates)
+            state = np.asarray(start, dtype=float)
+        for pulse in swaps[builder]:
+            state = _step(state, pulse, rates)
+        if t_pinned is None:
+            t, _, state = _line_search(w, state, rates, t_max)
+        else:
+            t, state = t_pinned, _propagate(state, t_pinned, rates)
         done[builder].append((t, float(state[2]), state))
     return tuple(
         CycleResult(cycle=first_cycle + i, t1=t1, purity_after_seg1=purity1,
@@ -208,9 +226,10 @@ def run_cycle(p, rates: RateParams = RateParams(), objective: str = P00,
     [0, 10] us) and runs the laser; then the same for seg2.  An overrides
     record may also pin the state handed to seg2 (see CycleOverrides).
     """
+    w = _check_rules(objective)
     ov = _coerce_overrides(overrides)
     passes = ((seg1, ov.t1, None), (seg2, ov.t2, ov.seg2_start))
-    return _fold(p, passes, rates, objective, 10.0, cycle)[0]
+    return _fold(validate_population(p), passes, rates, w, 10.0, cycle)[0]
 
 
 def optimize_schedule(p0, rates: RateParams = RateParams(), objective: str = P00,
@@ -231,15 +250,12 @@ def optimize_schedule(p0, rates: RateParams = RateParams(), objective: str = P00
         schedule row i pairs the i-th seg1 pass with the i-th seg2 pass
         even though all seg1 passes run first.
     """
-    if not 1 <= n_cycles <= 20:
-        raise ValueError(f"n_cycles must be in [1, 20], got {n_cycles}")
-    if strategy not in (INTERLEAVED, BLOCKED):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    w = _check_rules(objective, t_max, strategy, n_cycles)
     ov1 = _coerce_overrides(cycle1_overrides)
     seg2_start = ov1.seg2_start if strategy == INTERLEAVED else None
     firsts = [(seg1, ov1.t1, None)] + [(seg1, None, None)] * (n_cycles - 1)
     seconds = [(seg2, ov1.t2, seg2_start)] + [(seg2, None, None)] * (n_cycles - 1)
     passes = (firsts + seconds if strategy == BLOCKED
               else [p for cycle in zip(firsts, seconds) for p in cycle])
-    rows = _fold(p0, passes, rates, objective, t_max)
+    rows = _fold(validate_population(p0), passes, rates, w, t_max)
     return Schedule(strategy, rows, rows[-1].purity_after_seg2)

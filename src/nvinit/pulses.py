@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spinmodel import LEVEL_INDEX, RateParams, propagate, validate_population
+from .spinmodel import LEVEL_INDEX, RateParams, _propagate, validate_population
 
 __all__ = [
     "MwPi",
@@ -44,10 +44,12 @@ MW_PAIRS = (((0, -1), (-1, -1)), ((0, +1), (-1, +1)))
 RF_PAIRS = (((-1, -1), (-1, 0)), ((-1, +1), (-1, 0)))
 
 
-def _check_pair(pair: Pair, allowed, kind: str) -> None:
-    normalized = {pair, (pair[1], pair[0])}
+def _check_swap(pulse, allowed, kind: str) -> None:
+    normalized = {pulse.pair, (pulse.pair[1], pulse.pair[0])}
     if not any(p in normalized for p in allowed):
-        raise ValueError(f"invalid transition pair for {kind}: {pair}")
+        raise ValueError(f"invalid transition pair for {kind}: {pulse.pair}")
+    if not 0.0 <= pulse.swap_fidelity <= 1.0:
+        raise ValueError(f"swap_fidelity must be in [0, 1], got {pulse.swap_fidelity}")
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,7 @@ class MwPi:
     swap_fidelity: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_pair(self.pair, MW_PAIRS, "MW pulse")
-        if not 0.0 <= self.swap_fidelity <= 1.0:
-            raise ValueError(f"swap_fidelity must be in [0, 1], got {self.swap_fidelity}")
+        _check_swap(self, MW_PAIRS, "MW pulse")
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,7 @@ class RfPi:
     swap_fidelity: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_pair(self.pair, RF_PAIRS, "RF pulse")
-        if not 0.0 <= self.swap_fidelity <= 1.0:
-            raise ValueError(f"swap_fidelity must be in [0, 1], got {self.swap_fidelity}")
+        _check_swap(self, RF_PAIRS, "RF pulse")
 
 
 @dataclass(frozen=True)
@@ -138,26 +136,30 @@ def _describe(pulse: Pulse) -> str:
     return f"{kind} {a}<->{b}"
 
 
+def _step(state: np.ndarray, pulse: Pulse, rates: RateParams) -> np.ndarray:
+    """One pulse on an already validated state; it is not checked again."""
+    if isinstance(pulse, Laser):
+        return _propagate(state, pulse.duration, rates)
+    i = LEVEL_INDEX[pulse.pair[0]]
+    j = LEVEL_INDEX[pulse.pair[1]]
+    f = pulse.swap_fidelity
+    out = state.copy()
+    out[i] = (1.0 - f) * state[i] + f * state[j]
+    out[j] = (1.0 - f) * state[j] + f * state[i]
+    return out
+
+
 def apply_pulse(p, pulse: Pulse, rates: RateParams = RateParams()) -> np.ndarray:
     """Apply a single pulse to a population vector.
 
     Swaps exchange exactly two entries (softened by swap_fidelity); a
     laser pulse propagates the full vector under the rate model.
     """
-    vec = validate_population(p)
-    if isinstance(pulse, Laser):
-        return propagate(vec, pulse.duration, rates)
-    i = LEVEL_INDEX[pulse.pair[0]]
-    j = LEVEL_INDEX[pulse.pair[1]]
-    f = pulse.swap_fidelity
-    out = vec.copy()
-    out[i] = (1.0 - f) * vec[i] + f * vec[j]
-    out[j] = (1.0 - f) * vec[j] + f * vec[i]
-    return out
+    return _step(validate_population(p), pulse, rates)
 
 
 def run_segment(p, segment: Segment, rates: RateParams = RateParams()):
-    """Left-fold apply_pulse over a segment.
+    """Left-fold apply_pulse over a segment, checking the input state once.
 
     Returns
     -------
@@ -167,7 +169,7 @@ def run_segment(p, segment: Segment, rates: RateParams = RateParams()):
     state = validate_population(p)
     trace = []
     for idx, pulse in enumerate(segment.pulses):
-        state = apply_pulse(state, pulse, rates)
+        state = _step(state, pulse, rates)
         trace.append(TraceRecord(idx, _describe(pulse), state.copy()))
     return state, trace
 
@@ -188,4 +190,4 @@ def initial_state(rates: RateParams = RateParams(), init_laser: float = 5.0) -> 
     if not 0.0 < init_laser < math.inf:
         raise ValueError(f"init_laser must be finite and positive, got {init_laser}")
     mixed = np.full(6, 1.0 / 6.0)
-    return propagate(mixed, init_laser, rates)
+    return _propagate(mixed, init_laser, rates)

@@ -198,15 +198,18 @@ def _line_coefficients(w: np.ndarray, p: np.ndarray, rates: RateParams) -> tuple
             min(ks, 3.0 * ki), abs(3.0 * ki - ks))
 
 
+def _propagate(vec: np.ndarray, t: float, rates: RateParams) -> np.ndarray:
+    """The laser step on an already validated vector; it is not checked again."""
+    return _clamp_dust(propagator(t, rates) @ vec)
+
+
 def propagate(p, t: float, rates: RateParams = RateParams()) -> np.ndarray:
     """Evolve a population vector for time t under laser illumination.
 
     Equivalent to propagator(t, rates) @ p with simplex cleanup: float
     dust in [-1e-12, 0) is clamped to zero.
     """
-    vec = validate_population(p)
-    out = propagator(t, rates) @ vec
-    return _clamp_dust(out)
+    return _propagate(validate_population(p), t, rates)
 
 
 def propagate_numeric(p, t: float, rates: RateParams = RateParams(),

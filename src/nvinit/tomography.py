@@ -49,11 +49,19 @@ _MI_ORDER = (-1, +1, 0)
 
 @dataclass(frozen=True)
 class SpectralAmplitudes:
-    """Line amplitudes A_mI = P(|0,mI>) - P(|-1,mI>), each in [-1, 1]."""
+    """Line amplitudes A_mI = P(|0,mI>) - P(|-1,mI>), each finite.
+
+    They lie in [-1, 1] up to rounding, which exact extraction can exceed.
+    """
 
     a_minus1: float
     a_plus1: float
     a_zero: float
+
+    def __post_init__(self) -> None:
+        for name in ("a_minus1", "a_plus1", "a_zero"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a_minus1, self.a_plus1, self.a_zero])
@@ -153,6 +161,8 @@ def spectrum(fid: np.ndarray, fp: FidParams = FidParams()) -> Spectrum:
     fid = np.asarray(fid, dtype=complex)
     if fid.ndim != 1 or len(fid) > fp.padded_length:
         raise ValueError("FID must be a 1-d series no longer than the padded length")
+    if not np.isfinite(fid).all():
+        raise ValueError("FID must be finite")
     padded = np.zeros(fp.padded_length, dtype=complex)
     padded[: len(fid)] = fid
     values = np.fft.fftshift(np.fft.fft(padded))

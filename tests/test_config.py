@@ -2,8 +2,8 @@ import pytest
 
 from nvinit.config import (Config, ConfigError, OptimizerSettings, load_config,
                            parse_config, parse_sequence)
-from nvinit.optimizer import REFERENCE_CYCLE1_OVERRIDES, CycleOverrides
-from nvinit.pulses import Laser, MwPi, RfPi
+from nvinit.optimizer import REFERENCE_CYCLE1_OVERRIDES, CycleOverrides, optimize_schedule
+from nvinit.pulses import Laser, MwPi, RfPi, initial_state
 
 
 class TestDefaults:
@@ -123,6 +123,18 @@ class TestOptimizerSection:
                 OptimizerSettings(t_max=bad)
         with pytest.raises(ConfigError, match="^optimizer:"):
             parse_config("optimizer:\n  t_max_us: .nan\n")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_cycles": True}, {"n_cycles": 2.5}, {"n_cycles": 21}, {"objective": "bogus"},
+        {"strategy": "round-robin"}, {"t_max": float("nan")}])
+    def test_settings_follow_the_optimizer_rules(self, kwargs):
+        # One set of rules: OptimizerSettings refuses exactly what
+        # optimize_schedule refuses, with the same message.
+        with pytest.raises(ValueError) as settings_exc:
+            OptimizerSettings(**kwargs)
+        with pytest.raises(ValueError) as schedule_exc:
+            optimize_schedule(initial_state(), **kwargs)
+        assert str(settings_exc.value) == str(schedule_exc.value)
 
 
 class TestDocumentErrors:

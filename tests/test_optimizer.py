@@ -6,7 +6,7 @@ from nvinit.optimizer import (A0, BLOCKED, INTERLEAVED, P00,
                               REFERENCE_CYCLE1_OVERRIDES, CycleOverrides,
                               objective_value, optimize_laser, optimize_schedule,
                               run_cycle)
-from nvinit.pulses import initial_state
+from nvinit.pulses import initial_state, run_sequence, seg1, seg2
 from nvinit.spinmodel import RateParams, propagate, propagator, steady_state
 
 PUBLISHED = np.array([0.07, 0.33, 0.55, 0.0, 0.0, 0.05])
@@ -212,6 +212,65 @@ class TestNonFiniteInput:
     def test_t_max_must_be_finite(self):
         with pytest.raises(ValueError, match="t_max must be finite"):
             optimize_laser(PUBLISHED, t_max=float("inf"))
+
+
+class TestBoundaryChecks:
+    """Every schedule rule is refused up front, even when no duration is optimized."""
+
+    P0 = initial_state()
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda p: optimize_schedule(p, n_cycles=1, t_max=float("nan"),
+                                     cycle1_overrides=REFERENCE_CYCLE1_OVERRIDES),
+         "t_max must be finite"),
+        (lambda p: optimize_schedule(p, objective="bogus", n_cycles=1,
+                                     cycle1_overrides=REFERENCE_CYCLE1_OVERRIDES),
+         "unknown objective"),
+        (lambda p: run_cycle(p, objective="bogus", overrides=(0.5, 0.46)),
+         "unknown objective"),
+        (lambda p: optimize_schedule(p, n_cycles=True), "n_cycles must be an integer"),
+        (lambda p: optimize_schedule(p, n_cycles=2.5), "n_cycles must be an integer"),
+    ])
+    def test_refused_with_one_line(self, call, match):
+        with pytest.raises(ValueError, match=match) as exc:
+            call(self.P0)
+        assert "\n" not in str(exc.value)
+
+    def test_zero_nuclear_rate_schedule_runs(self):
+        # Without nuclear hopping the pumping is perfect and the purity can
+        # round to 1 + 2e-16; the rows are results, not inputs to refuse.
+        rates = RateParams(k_s=1.0, k_i=0.0)
+        s = optimize_schedule(initial_state(rates), rates, n_cycles=2, t_max=50.0,
+                              cycle1_overrides=(0.3, None, PUBLISHED))
+        assert s.final_purity == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFoldMatchesPublicPath:
+    @pytest.mark.parametrize("rates", [RateParams(), RateParams(k_s=0.75, k_i=0.25)])
+    @pytest.mark.parametrize("strategy", [INTERLEAVED, BLOCKED])
+    @pytest.mark.parametrize("overrides", [None, REFERENCE_CYCLE1_OVERRIDES])
+    @pytest.mark.parametrize("objective", [P00, A0])
+    def test_rows_replay_through_run_sequence(self, rates, strategy, overrides,
+                                              objective):
+        p0 = initial_state(rates)
+        s = optimize_schedule(p0, rates, objective, 4, strategy, overrides)
+        seg2_start = (overrides.seg2_start
+                      if overrides is not None and strategy == INTERLEAVED else None)
+        firsts = [(seg1, row.t1) for row in s.cycles]
+        seconds = [(seg2, row.t2) for row in s.cycles]
+        order = (firsts + seconds if strategy == BLOCKED
+                 else [p for pair in zip(firsts, seconds) for p in pair])
+        after = {seg1: [], seg2: []}
+        state = p0
+        for builder, t in order:
+            if builder is seg2 and not after[seg2] and seg2_start is not None:
+                state = np.array(seg2_start)
+            state = run_sequence(state, builder(t).pulses, rates)[0]
+            after[builder].append(state)
+        for row, end1, end2 in zip(s.cycles, after[seg1], after[seg2]):
+            assert row.purity_after_seg1 == end1[2]
+            assert row.purity_after_seg2 == end2[2]
+            assert np.array_equal(row.end_state, end2)
 
 
 class TestBatchedGrid:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nvinit.pulses import (Laser, MwPi, RfPi, apply_pulse, initial_state,
-                           run_segment, run_sequence, seg1, seg2)
+from nvinit.pulses import (MW_PAIRS, RF_PAIRS, Laser, MwPi, RfPi, apply_pulse,
+                           initial_state, run_segment, run_sequence, seg1, seg2)
 from nvinit.spinmodel import RateParams, steady_state
 
 UNIFORM_MS0 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) / 3.0
@@ -138,6 +138,38 @@ def test_run_sequence_empty_echoes_input():
     final, trace = run_sequence(p, ())
     assert trace == []
     assert np.abs(final - p).max() == 0.0
+
+
+def test_run_sequence_trace_equals_chained_apply_pulse():
+    rng = np.random.default_rng(21)
+    for rates in (RateParams(), RateParams(k_s=0.75, k_i=0.25)):
+        for _ in range(40):
+            pulses = []
+            for _ in range(int(rng.integers(1, 9))):
+                kind = int(rng.integers(3))
+                if kind == 0:
+                    pulses.append(Laser(float(rng.uniform(0.0, 3.0))))
+                else:
+                    cls, pairs = (MwPi, MW_PAIRS) if kind == 1 else (RfPi, RF_PAIRS)
+                    pulses.append(cls(pairs[int(rng.integers(2))],
+                                      float(rng.uniform(0.5, 1.0))))
+            p = rng.dirichlet(np.ones(6))
+            final, trace = run_sequence(p, pulses, rates)
+            state = p
+            for pulse, record in zip(pulses, trace, strict=True):
+                state = apply_pulse(state, pulse, rates)
+                assert np.array_equal(record.state, state)
+            assert np.array_equal(final, state)
+
+
+def test_swap_leaves_tiny_negative_entries_alone():
+    # validate_population accepts entries down to -1e-9; only a laser
+    # clamps float dust, so a swap must neither clamp nor refuse them.
+    p = np.array([0.5, 0.3, 0.2 + 5e-10, -5e-10, 0.0, 0.0])
+    rf = RfPi(((-1, +1), (-1, 0)))
+    assert apply_pulse(p, rf)[3] == -5e-10
+    final, _ = run_sequence(p, [rf, MwPi(((0, +1), (-1, +1)), 0.9)])
+    assert final[3] == -5e-10
 
 
 def test_initial_state_reaches_pumped_mixture():

@@ -99,6 +99,30 @@ class TestSynthesize:
         assert synthesize_fid(THIRD).shape == (2048,)
 
 
+class TestNonFiniteReadout:
+    def test_amplitudes_must_be_finite(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="a_minus1 must be finite") as exc:
+                synthesize_fid(SpectralAmplitudes(bad, 0.3, 0.5))
+            assert "\n" not in str(exc.value)
+            with pytest.raises(ValueError, match="a_zero must be finite"):
+                SpectralAmplitudes(0.07, 0.3, bad)
+
+    def test_amplitudes_past_the_range_are_kept(self):
+        # Exact extraction can round just past [-1, 1]; only finiteness is checked.
+        amps = SpectralAmplitudes(1.0 + 1e-15, -1.0 - 1e-15, 0.5)
+        assert amps.as_array()[0] > 1.0
+
+    def test_fid_must_be_finite(self):
+        with pytest.raises(ValueError, match="FID must be finite") as exc:
+            spectrum(np.full(2048, np.nan))
+        assert "\n" not in str(exc.value)
+        fid = synthesize_fid(THIRD)
+        fid[7] = complex(0.0, float("inf"))
+        with pytest.raises(ValueError, match="FID must be finite"):
+            spectrum(fid)
+
+
 class TestSpectrum:
     def test_zero_in_zero_out(self):
         fid = np.zeros(2048, dtype=complex)
