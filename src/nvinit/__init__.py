@@ -4,43 +4,18 @@ The package models a six-level electron/nuclear register under optical
 pumping, ideal microwave/RF swap pulses, FID-based population readout
 and per-segment laser-duration optimization.  See the module docstrings
 for the physics conventions (basis order, units, rate constants).
+The package exports exactly each module's ``__all__``.
 """
 
-from .hamiltonian import (HamiltonianParams, TransitionRef, REFERENCE_TRANSITIONS,
-                          energy, transition_frequency, transition_table)
-from .optimizer import (A0, BLOCKED, INTERLEAVED, P00, REFERENCE_CYCLE1_OVERRIDES,
-                        CycleOverrides, CycleResult, Schedule, objective_value,
-                        optimize_laser, optimize_schedule, run_cycle)
-from .pulses import (MW_PAIRS, RF_PAIRS, Laser, MwPi, RfPi, Segment, TraceRecord,
-                     apply_pulse, initial_state, run_segment, run_sequence,
-                     seg1, seg2)
-from .config import (Config, ConfigError, OptimizerSettings, load_config,
-                     parse_config, parse_sequence)
-from .spinmodel import (LEVELS, LEVEL_INDEX, NUCLEAR_MIRROR, RateParams,
-                        propagate, propagate_numeric, propagator, rate_matrix,
-                        seg1_reference_solution, seg2_reference_solution,
-                        steady_state, validate_population)
-from .tomography import (FidParams, SpectralAmplitudes, Spectrum, amplitudes,
-                         calibration_spectrum, extract_amplitudes, spectrum,
-                         synthesize_fid)
+from . import config, hamiltonian, optimizer, pulses, spinmodel, tomography
+from .config import *
+from .hamiltonian import *
+from .optimizer import *
+from .pulses import *
+from .spinmodel import *
+from .tomography import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LEVELS", "LEVEL_INDEX", "NUCLEAR_MIRROR", "RateParams",
-    "rate_matrix", "propagator", "propagate", "propagate_numeric",
-    "steady_state", "validate_population",
-    "seg1_reference_solution", "seg2_reference_solution",
-    "HamiltonianParams", "TransitionRef", "REFERENCE_TRANSITIONS",
-    "energy", "transition_frequency", "transition_table",
-    "MW_PAIRS", "RF_PAIRS", "MwPi", "RfPi", "Laser", "Segment", "TraceRecord",
-    "seg1", "seg2", "apply_pulse", "run_segment", "run_sequence", "initial_state",
-    "SpectralAmplitudes", "FidParams", "Spectrum", "amplitudes",
-    "synthesize_fid", "spectrum", "calibration_spectrum", "extract_amplitudes",
-    "P00", "A0", "INTERLEAVED", "BLOCKED",
-    "CycleOverrides", "REFERENCE_CYCLE1_OVERRIDES", "CycleResult", "Schedule",
-    "objective_value", "optimize_laser", "run_cycle", "optimize_schedule",
-    "Config", "ConfigError", "OptimizerSettings",
-    "parse_config", "load_config", "parse_sequence",
-    "__version__",
-]
+__all__ = [name for module in (spinmodel, hamiltonian, pulses, tomography, optimizer, config)
+           for name in module.__all__] + ["__version__"]

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import Config, load_config, parse_sequence
+from .config import load_config, parse_sequence
 from .hamiltonian import transition_table
 from .optimizer import REFERENCE_CYCLE1_OVERRIDES, optimize_schedule
 from .pulses import initial_state, run_segment, run_sequence, seg1, seg2
@@ -94,23 +94,19 @@ def _cmd_transitions(args) -> int:
     return 0
 
 
-def _segment_sweep_start(segment: str, cfg: Config) -> np.ndarray:
-    # seg2 is swept from the tabulated post-seg1 state so the sweep
-    # reproduces the reference figure rather than a model-chained run.
-    if segment == "seg1":
-        return initial_state(cfg.rates)
-    return validate_population(REFERENCE_CYCLE1_OVERRIDES.seg2_start)
-
-
 def _cmd_sweep(args) -> int:
     cfg, out = _setup(args)
     if args.steps < 2:
         raise ValueError(f"steps must be at least 2, got {args.steps}")
     if not 0.0 < args.t_max < np.inf:
         raise ValueError(f"t-max must be positive and finite, got --t-max {args.t_max:g}")
-    builder = seg1 if args.segment == "seg1" else seg2
-    swapped = run_segment(_segment_sweep_start(args.segment, cfg), builder(0.0),
-                          cfg.rates)[0]
+    if args.segment == "seg1":
+        start, segment = initial_state(cfg.rates), seg1(0.0)
+    else:
+        # seg2 is swept from the tabulated post-seg1 state so the sweep
+        # reproduces the reference figure rather than a model-chained run.
+        start, segment = REFERENCE_CYCLE1_OVERRIDES.seg2_start, seg2(0.0)
+    swapped = run_segment(start, segment, cfg.rates)[0]
     rows = []
     for t in np.linspace(0.0, args.t_max, args.steps):
         p = propagate(swapped, float(t), cfg.rates)
@@ -232,8 +228,7 @@ def _cmd_simulate(args) -> int:
         raise ValueError(f"cannot read sequence {args.sequence}: "
                          f"{exc.strerror or exc}") from None
     start, pulses = parse_sequence(text)
-    state = (validate_population(start) if start is not None
-             else initial_state(cfg.rates))
+    state = start if start is not None else initial_state(cfg.rates)
     final, trace = run_sequence(state, pulses, cfg.rates)
     _emit_yaml({
         "initial_state": _state_list(state),
@@ -244,51 +239,43 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _add_globals(parser: argparse.ArgumentParser, suppress: bool = False) -> None:
-    extra = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument("--config", metavar="PATH",
-                        help="YAML configuration file", **extra)
-    parser.add_argument("--out", metavar="DIR",
-                        help="output directory (default from config)", **extra)
-    parser.add_argument("--seed", type=int, metavar="N",
-                        help="reserved; accepted but unused", **extra)
-
-
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="nvinit",
+    # Subcommands take the global flags too, with SUPPRESS defaults so a flag
+    # absent after the subcommand keeps the value given before it.
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--config", metavar="PATH", help="YAML configuration file")
+    flags.add_argument("--out", metavar="DIR", help="output directory (default from config)")
+    flags.add_argument("--seed", type=int, metavar="N", help="reserved; accepted but unused")
+    parser = _Parser(prog="nvinit", parents=[flags],
                      description="Nuclear-spin initialization model tools")
-    _add_globals(parser)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("transitions", help="write the transition table CSV")
+    p = sub.add_parser("transitions", parents=[flags],
+                       help="write the transition table CSV")
     p.set_defaults(func=_cmd_transitions)
-    _add_globals(p, suppress=True)
 
-    p = sub.add_parser("sweep", help="sweep a segment's laser duration")
+    p = sub.add_parser("sweep", parents=[flags], help="sweep a segment's laser duration")
     p.add_argument("segment", choices=("seg1", "seg2"))
     p.add_argument("--t-max", type=float, default=4.0, metavar="US",
                    help="largest duration in us (default 4)")
     p.add_argument("--steps", type=int, default=201, metavar="N",
                    help="number of grid points (default 201)")
     p.set_defaults(func=_cmd_sweep)
-    _add_globals(p, suppress=True)
 
-    p = sub.add_parser("spectrum", help="synthesize an FID and read amplitudes back")
+    p = sub.add_parser("spectrum", parents=[flags],
+                       help="synthesize an FID and read amplitudes back")
     p.add_argument("--state", metavar="P0,..,P5",
                    help="six comma-separated populations "
                         "(default: laser-initialized state)")
     p.set_defaults(func=_cmd_spectrum)
-    _add_globals(p, suppress=True)
 
-    p = sub.add_parser("optimize", help="optimize a multi-cycle schedule")
+    p = sub.add_parser("optimize", parents=[flags], help="optimize a multi-cycle schedule")
     p.set_defaults(func=_cmd_optimize)
-    _add_globals(p, suppress=True)
 
-    p = sub.add_parser("simulate", help="run a pulse-sequence document")
+    p = sub.add_parser("simulate", parents=[flags], help="run a pulse-sequence document")
     p.add_argument("sequence", metavar="SEQUENCE.yaml")
     p.set_defaults(func=_cmd_simulate)
-    _add_globals(p, suppress=True)
 
     return parser
 

@@ -165,22 +165,30 @@ def _rate(section: dict, direct: str, inverse: str, path: str,
     return default
 
 
-def _parse_rates(node) -> RateParams:
-    section = _mapping(node, "rates")
+def _parse_rates(node, path: str) -> RateParams:
+    section = _mapping(node, path)
     _check_keys(section, {"k_s_per_us", "inv_k_s_us", "k_i_per_us", "inv_k_i_us"},
-                "rates")
+                path)
     defaults = RateParams()
-    k_s = _rate(section, "k_s_per_us", "inv_k_s_us", "rates", defaults.k_s,
+    k_s = _rate(section, "k_s_per_us", "inv_k_s_us", path, defaults.k_s,
                 allow_zero=False)
-    k_i = _rate(section, "k_i_per_us", "inv_k_i_us", "rates", defaults.k_i,
+    k_i = _rate(section, "k_i_per_us", "inv_k_i_us", path, defaults.k_i,
                 allow_zero=True)
     return RateParams(k_s=k_s, k_i=k_i)
 
 
-def _parse_section(node, path: str, table: dict, cls):
+def _output_dir(node, path: str) -> str:
+    if not _string(node, path):
+        raise ConfigError(f"{path} must be a non-empty string")
+    return node
+
+
+def _parse_section(node, path: str, table: dict, cls, required: str | None = None):
     """Build cls from a mapping; table maps each key to (field, reader)."""
     section = _mapping(node, path)
     _check_keys(section, table, path)
+    if required is not None and required not in section:
+        raise ConfigError(f"{_join(path, required)} is required")
     kwargs = {field: reader(section[key], _join(path, key))
               for key, (field, reader) in table.items() if key in section}
     try:
@@ -213,6 +221,11 @@ _CYCLE1_KEYS = {
 }
 
 
+def _section(table: dict, cls):
+    """Reader of a nested section built from table."""
+    return lambda node, path: _parse_section(node, path, table, cls)
+
+
 def _cycle1(node, path: str) -> CycleOverrides | None:
     """The cycle1 section; null disables the first-cycle overrides."""
     if node is None:
@@ -228,6 +241,16 @@ _OPTIMIZER_KEYS = {
     "cycle1": ("cycle1", _cycle1),
 }
 
+# Keys are read in table order, so an output_dir error is reported before a
+# section's.
+_ROOT_KEYS = {
+    "output_dir": ("output_dir", _output_dir),
+    "rates": ("rates", _parse_rates),
+    "hamiltonian": ("hamiltonian", _section(_HAMILTONIAN_KEYS, HamiltonianParams)),
+    "fid": ("fid", _section(_FID_KEYS, FidParams)),
+    "optimizer": ("optimizer", _section(_OPTIMIZER_KEYS, OptimizerSettings)),
+}
+
 
 def _load_yaml(text: str):
     try:
@@ -238,22 +261,7 @@ def _load_yaml(text: str):
 
 def parse_config(text: str) -> Config:
     """Parse a YAML configuration document; empty input means all defaults."""
-    root = _mapping(_load_yaml(text), "")
-    _check_keys(root, {"rates", "hamiltonian", "fid", "optimizer", "output_dir"}, "")
-    output_dir = "out"
-    if "output_dir" in root:
-        output_dir = _string(root["output_dir"], "output_dir")
-        if not output_dir:
-            raise ConfigError("output_dir must be a non-empty string")
-    return Config(
-        rates=_parse_rates(root.get("rates")),
-        hamiltonian=_parse_section(root.get("hamiltonian"), "hamiltonian",
-                                   _HAMILTONIAN_KEYS, HamiltonianParams),
-        fid=_parse_section(root.get("fid"), "fid", _FID_KEYS, FidParams),
-        optimizer=_parse_section(root.get("optimizer"), "optimizer", _OPTIMIZER_KEYS,
-                                 OptimizerSettings),
-        output_dir=output_dir,
-    )
+    return _parse_section(_load_yaml(text), "", _ROOT_KEYS, Config)
 
 
 def load_config(path: str | None) -> Config:
@@ -276,36 +284,23 @@ def _parse_pair(node, path: str):
                  for i, lv in enumerate(node))
 
 
-_PULSE_KEYS = {
-    "mw_pi": {"kind", "pair", "fidelity"},
-    "rf_pi": {"kind", "pair", "fidelity"},
-    "laser": {"kind", "duration_us"},
+_SWAP_KEYS = {"pair": ("pair", _parse_pair), "fidelity": ("swap_fidelity", _number)}
+
+#: Pulse kind -> (class, key table, required key); "kind" itself is read first.
+_PULSES = {
+    "mw_pi": (MwPi, _SWAP_KEYS, "pair"),
+    "rf_pi": (RfPi, _SWAP_KEYS, "pair"),
+    "laser": (Laser, {"duration_us": ("duration", _number)}, "duration_us"),
 }
 
 
 def _parse_pulse(node, path: str):
-    entry = _mapping(node, path)
-    kind = entry.get("kind")
-    if kind not in _PULSE_KEYS:
+    entry = dict(_mapping(node, path))
+    kind = entry.pop("kind", None)
+    if kind not in _PULSES:
         raise ConfigError(f"{_join(path, 'kind')}: unknown pulse kind {kind!r}")
-    _check_keys(entry, _PULSE_KEYS[kind], path)
-    try:
-        if kind == "laser":
-            if "duration_us" not in entry:
-                raise ConfigError(f"{_join(path, 'duration_us')} is required")
-            return Laser(_number(entry["duration_us"], _join(path, "duration_us")))
-        if "pair" not in entry:
-            raise ConfigError(f"{_join(path, 'pair')} is required")
-        pair = _parse_pair(entry["pair"], _join(path, "pair"))
-        fidelity = 1.0
-        if "fidelity" in entry:
-            fidelity = _number(entry["fidelity"], _join(path, "fidelity"))
-        cls = MwPi if kind == "mw_pi" else RfPi
-        return cls(pair, fidelity)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    cls, table, required = _PULSES[kind]
+    return _parse_section(entry, path, table, cls, required)
 
 
 def parse_sequence(text: str):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hamiltonian import REFERENCE_TRANSITIONS
 from .spinmodel import LEVEL_INDEX, RateParams, _propagate, validate_population
 
 __all__ = [
@@ -37,11 +38,10 @@ __all__ = [
 Level = tuple[int, int]
 Pair = tuple[Level, Level]
 
-#: Allowed MW swap transitions (electron flip at fixed m_I).
-MW_PAIRS = (((0, -1), (-1, -1)), ((0, +1), (-1, +1)))
-
-#: Allowed RF swap transitions (nuclear flip inside m_s=-1).
-RF_PAIRS = (((-1, -1), (-1, 0)), ((-1, +1), (-1, 0)))
+#: Allowed MW swap transitions (electron flip at fixed m_I), then the allowed
+#: RF swap transitions (nuclear flip inside m_s=-1), in reference-table order.
+MW_PAIRS, RF_PAIRS = (tuple(ref.pair for ref in REFERENCE_TRANSITIONS if ref.kind == kind)
+                      for kind in ("MW", "RF"))
 
 
 def _check_swap(pulse, allowed, kind: str) -> None:
@@ -110,22 +110,18 @@ class TraceRecord:
     state: np.ndarray = field(repr=False)
 
 
-def seg1(t1: float, swap_fidelity: float = 1.0) -> Segment:
+def _segment(label: str, k: int, t: float) -> Segment:
+    return Segment(label, (MwPi(MW_PAIRS[k]), RfPi(RF_PAIRS[k]), Laser(t)))
+
+
+def seg1(t1: float) -> Segment:
     """Segment addressing m_I=-1: MW swap, RF swap, laser of length t1."""
-    return Segment("seg1", (
-        MwPi(((0, -1), (-1, -1)), swap_fidelity),
-        RfPi(((-1, -1), (-1, 0)), swap_fidelity),
-        Laser(t1),
-    ))
+    return _segment("seg1", 0, t1)
 
 
-def seg2(t2: float, swap_fidelity: float = 1.0) -> Segment:
+def seg2(t2: float) -> Segment:
     """Segment addressing m_I=+1: MW swap, RF swap, laser of length t2."""
-    return Segment("seg2", (
-        MwPi(((0, +1), (-1, +1)), swap_fidelity),
-        RfPi(((-1, +1), (-1, 0)), swap_fidelity),
-        Laser(t2),
-    ))
+    return _segment("seg2", 1, t2)
 
 
 def _describe(pulse: Pulse) -> str:

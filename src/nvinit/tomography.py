@@ -25,6 +25,7 @@ amplitudes too.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +97,9 @@ class FidParams:
             raise ValueError(f"t2star must be positive, got {self.t2star}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if isinstance(self.n_samples, bool) or not isinstance(self.n_samples,
+                                                              numbers.Integral):
+            raise ValueError(f"n_samples must be an integer, got {self.n_samples!r}")
         if self.n_samples < 256:
             raise ValueError(f"n_samples must be at least 256, got {self.n_samples}")
         if abs(self.detuning) + abs(self.hyperfine_split) >= 0.5 / self.dt:

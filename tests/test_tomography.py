@@ -72,6 +72,14 @@ class TestFidParams:
             with pytest.raises(ValueError, match="must be finite"):
                 FidParams(**kwargs)
 
+    @pytest.mark.parametrize("n", [300.5, float("nan"), float("inf"), True])
+    def test_non_integer_sample_count_refused(self, n):
+        with pytest.raises(ValueError, match=f"^n_samples must be an integer, got {n!r}$"):
+            FidParams(n_samples=n)
+
+    def test_numpy_integer_sample_count_accepted(self):
+        assert len(synthesize_fid(THIRD, FidParams(n_samples=np.int64(300)))) == 300
+
     def test_nyquist_boundary(self):
         FidParams(detuning=22.0, dt=0.02, hyperfine_split=-2.16)  # 24.16 < 25
         with pytest.raises(ValueError):
