@@ -43,6 +43,7 @@ Pulse sequences for the simulate command use a second small schema:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -142,6 +143,13 @@ def _state_vector(node, path: str):
     return values
 
 
+def _finite(node, path: str) -> float:
+    value = _number(node, path)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path} must be finite, got {value:g}")
+    return value
+
+
 def _positive(value: float, path: str) -> float:
     if value <= 0:
         raise ConfigError(f"{path} must be positive, got {value:g}")
@@ -154,9 +162,9 @@ def _rate(section: dict, direct: str, inverse: str, path: str,
     if direct in section and inverse in section:
         raise ConfigError(f"{d_key} and {i_key} are mutually exclusive")
     if inverse in section:
-        return 1.0 / _positive(_number(section[inverse], i_key), i_key)
+        return 1.0 / _positive(_finite(section[inverse], i_key), i_key)
     if direct in section:
-        value = _number(section[direct], d_key)
+        value = _finite(section[direct], d_key)
         if allow_zero:
             if value < 0:
                 raise ConfigError(f"{d_key} must be nonnegative, got {value:g}")
@@ -297,7 +305,7 @@ _PULSES = {
 def _parse_pulse(node, path: str):
     entry = dict(_mapping(node, path))
     kind = entry.pop("kind", None)
-    if kind not in _PULSES:
+    if not isinstance(kind, str) or kind not in _PULSES:
         raise ConfigError(f"{_join(path, 'kind')}: unknown pulse kind {kind!r}")
     cls, table, required = _PULSES[kind]
     return _parse_section(entry, path, table, cls, required)

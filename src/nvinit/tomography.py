@@ -20,10 +20,16 @@ sampled at the three line bins (variable projection with known
 frequencies, Golub & Pereyra 1973).  This removes the leakage and keeps
 the sign: a noise-free FID round-trips to rounding error, for negative
 amplitudes too.
+
+Everything that depends on the FidParams alone (the shifted frequency
+grid, the three unit-line phasors with the decay envelope, and the
+calibration spectrum) is computed once per FidParams and kept in small
+bounded caches.  The cached arrays are shared, so they are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -46,6 +52,12 @@ __all__ = [
 #: m_I order used throughout this module: the line of a_minus1 sits at
 #: detuning - split, a_plus1 at detuning + split, a_zero at detuning.
 _MI_ORDER = (-1, +1, 0)
+
+#: Distinct FidParams each cache keeps, least recently used dropped first.
+_CACHE_SIZE = 4
+
+#: Bins swapped at a time when spectrum centers zero frequency (64 kB).
+_SWAP_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -91,8 +103,13 @@ class FidParams:
 
     def __post_init__(self) -> None:
         for name in ("detuning", "hyperfine_split", "t2star", "dt"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            # Real scalars only: the readout caches key on these fields, so
+            # they must be hashable (a 0-d array is not).
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.t2star > 0:
             raise ValueError(f"t2star must be positive, got {self.t2star}")
         if not self.dt > 0:
@@ -142,17 +159,44 @@ def amplitudes(p) -> SpectralAmplitudes:
                               a_zero=vec[2] - vec[5])
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _line_basis(fp: FidParams) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Unit-line phasors exp(2j pi f_m tau) in _MI_ORDER and exp(-tau / t2star).
+
+    Read-only; 56 bytes per sample (three complex rows and one real row),
+    0.9 MB per entry at 16384 samples.
+    """
+    tau = np.arange(fp.n_samples) * fp.dt
+    lines = tuple(_read_only(np.exp(2j * np.pi * fp.line_frequency(mi) * tau))
+                  for mi in _MI_ORDER)
+    return lines, _read_only(np.exp(-tau / fp.t2star))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _grid(fp: FidParams) -> np.ndarray:
+    """Shifted frequency grid of the padded transform, in MHz.
+
+    Read-only; 8 bytes per padded bin, 0.5 MB per entry at 16384 samples.
+    """
+    return _read_only(np.fft.fftshift(np.fft.fftfreq(fp.padded_length, fp.dt)))
+
+
 def synthesize_fid(amps: SpectralAmplitudes, fp: FidParams = FidParams()) -> np.ndarray:
     """Complex FID time series for the given line amplitudes.
 
     s(tau_k) = sum_m a_m exp(2j pi (detuning + split m) tau_k)
                * exp(-tau_k / t2star),  tau_k = k dt.
     """
-    tau = np.arange(fp.n_samples) * fp.dt
+    lines, decay = _line_basis(fp)
     series = np.zeros(fp.n_samples, dtype=complex)
-    for a, mi in zip(amps.as_array(), _MI_ORDER):
-        series += a * np.exp(2j * np.pi * fp.line_frequency(mi) * tau)
-    return series * np.exp(-tau / fp.t2star)
+    for a, line in zip(amps.as_array(), lines):
+        series += a * line
+    return series * decay
 
 
 def spectrum(fid: np.ndarray, fp: FidParams = FidParams()) -> Spectrum:
@@ -160,24 +204,47 @@ def spectrum(fid: np.ndarray, fp: FidParams = FidParams()) -> Spectrum:
 
     Unnormalized forward transform (numpy convention), so Parseval reads
     sum |time|^2 = mean |spectrum|^2 over the padded length.  The grid
-    is shifted to run from negative to positive frequencies.
+    is shifted to run from negative to positive frequencies; it is
+    shared between spectra of equal FidParams and read-only.
     """
     fid = np.asarray(fid, dtype=complex)
     if fid.ndim != 1 or len(fid) > fp.padded_length:
         raise ValueError("FID must be a 1-d series no longer than the padded length")
     if not np.isfinite(fid).all():
         raise ValueError("FID must be finite")
-    padded = np.zeros(fp.padded_length, dtype=complex)
-    padded[: len(fid)] = fid
-    values = np.fft.fftshift(np.fft.fft(padded))
-    freqs = np.fft.fftshift(np.fft.fftfreq(fp.padded_length, fp.dt))
-    return Spectrum(freqs_mhz=freqs, values=values, fid_length=len(fid))
+    values = np.fft.fft(fid, n=fp.padded_length)
+    # fftshift of an even length swaps the two halves.  Swapping in place,
+    # one block at a time, keeps the scratch copy to one block instead of a
+    # second full-length array.
+    half = fp.padded_length // 2
+    for lo in range(0, half, _SWAP_BLOCK):
+        hi = min(lo + _SWAP_BLOCK, half)
+        low = values[lo:hi].copy()
+        values[lo:hi] = values[half + lo:half + hi]
+        values[half + lo:half + hi] = low
+    return Spectrum(freqs_mhz=_grid(fp), values=values, fid_length=len(fid))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _calibration(fp: FidParams) -> Spectrum:
+    """Read-only calibration spectrum.
+
+    16 bytes per padded bin, 24 once its grid has left _grid's cache:
+    1.5 MB per entry at 16384 samples at worst.
+    """
+    ref = SpectralAmplitudes(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+    spec = spectrum(synthesize_fid(ref, fp), fp)
+    _read_only(spec.values)
+    return spec
 
 
 def calibration_spectrum(fp: FidParams = FidParams()) -> Spectrum:
-    """Spectrum of the fully depolarized reference state (1/3, 1/3, 1/3)."""
-    ref = SpectralAmplitudes(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    return spectrum(synthesize_fid(ref, fp), fp)
+    """Spectrum of the fully depolarized reference state (1/3, 1/3, 1/3).
+
+    Computed once per FidParams: equal parameters return the same
+    Spectrum, whose arrays are read-only.
+    """
+    return _calibration(fp)
 
 
 def _check_grid(spec: Spectrum, fp: FidParams, name: str) -> None:

@@ -1,4 +1,5 @@
-"""Model invariants as property tests: simplex, semigroup, mirror, involution."""
+"""Model invariants as property tests: simplex, semigroup, mirror, involution
+and linear unmixing."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nvinit.pulses import MW_PAIRS, RF_PAIRS, MwPi, RfPi, apply_pulse  # noqa: E402
 from nvinit.spinmodel import NUCLEAR_MIRROR, RateParams, propagate, propagator  # noqa: E402
+from nvinit.tomography import (FidParams, SpectralAmplitudes,  # noqa: E402
+                               calibration_spectrum, extract_amplitudes, spectrum,
+                               synthesize_fid)
 
 settings.register_profile("derandomized", derandomize=True, deadline=None,
                           database=None)
@@ -65,3 +69,22 @@ def test_swap_is_an_involution(p, kind_pair, reverse):
     pulse = cls((b, a) if reverse else (a, b))
     once = apply_pulse(p, pulse)
     assert np.array_equal(apply_pulse(once, pulse), p)
+
+
+line_amplitudes = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+weights = st.floats(-2.0, 2.0)
+fid_params = st.sampled_from([
+    FidParams(),
+    FidParams(n_samples=256),
+    FidParams(detuning=-3.1, hyperfine_split=1.7, t2star=0.8, dt=0.05, n_samples=1000),
+])
+
+
+@DERANDOMIZED
+@given(fid_params, line_amplitudes, line_amplitudes, weights, weights)
+def test_unmixing_is_linear(fp, a1, a2, alpha, beta):
+    fid = (alpha * synthesize_fid(SpectralAmplitudes(*a1), fp)
+           + beta * synthesize_fid(SpectralAmplitudes(*a2), fp))
+    got = extract_amplitudes(spectrum(fid, fp), fp, calibration_spectrum(fp))
+    want = alpha * np.array(a1) + beta * np.array(a2)
+    assert np.abs(got.as_array() - want).max() <= 1e-12

@@ -61,3 +61,25 @@ def test_line_between_the_last_bin_and_nyquist():
     spec = spectrum(synthesize_fid(SpectralAmplitudes(0.1, 0.1, 0.1), fp), fp)
     with refused(ValueError, "line frequency 15.984375 MHz is outside the spectral grid"):
         extract_amplitudes(spec, fp, calibration_spectrum(fp))
+
+
+@pytest.mark.parametrize("key", ["k_s_per_us", "inv_k_s_us", "k_i_per_us", "inv_k_i_us"])
+def test_non_finite_rate_names_its_key(key):
+    # These used to raise a bare "rates must be finite", "k_s must be
+    # positive, got 0.0", or (inv_k_i_us: .inf) to give k_i = 0.
+    for value, shown in ((".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")):
+        with refused(ConfigError, f"rates.{key} must be finite, got {shown}"):
+            parse_config(f"rates: {{{key}: {value}}}\n")
+
+
+@pytest.mark.parametrize("kind, shown", [("[1]", "[1]"), ("{a: 1}", "{'a': 1}")])
+def test_unhashable_pulse_kind(kind, shown):
+    with refused(ConfigError, f"pulses[0].kind: unknown pulse kind {shown}"):
+        parse_sequence(f"pulses:\n  - {{kind: {kind}}}\n")
+
+
+def test_cli_unhashable_pulse_kind(tmp_path, capsys):
+    seq = tmp_path / "seq.yaml"
+    seq.write_text("pulses: [{kind: [1]}]\n")
+    assert main(["simulate", "--out", str(tmp_path), str(seq)]) == 1
+    assert capsys.readouterr().err == "error: pulses[0].kind: unknown pulse kind [1]\n"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nvinit import tomography
 from nvinit.pulses import initial_state, run_segment, seg1, seg2
 from nvinit.tomography import (FidParams, SpectralAmplitudes, amplitudes,
                                calibration_spectrum, extract_amplitudes,
@@ -76,6 +77,17 @@ class TestFidParams:
     def test_non_integer_sample_count_refused(self, n):
         with pytest.raises(ValueError, match=f"^n_samples must be an integer, got {n!r}$"):
             FidParams(n_samples=n)
+
+    @pytest.mark.parametrize("value", [np.array(4.0), "4", None, 4 + 0j])
+    def test_non_real_fields_refused(self, value):
+        for name in ("detuning", "hyperfine_split", "t2star", "dt"):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+                FidParams(**{name: value})
+
+    def test_numpy_scalars_accepted(self):
+        fp = FidParams(detuning=np.float64(4.0), t2star=np.int64(2))
+        assert fp == FidParams()
+        assert calibration_spectrum(fp) is calibration_spectrum(FidParams())
 
     def test_numpy_integer_sample_count_accepted(self):
         assert len(synthesize_fid(THIRD, FidParams(n_samples=np.int64(300)))) == 300
@@ -258,3 +270,84 @@ class TestExtraction:
             extract_amplitudes(short, fp, calibration_spectrum(fp))
         with pytest.raises(ValueError):
             extract_amplitudes(calibration_spectrum(fp), fp, short)
+
+
+def formula_fid(amps, fp):
+    """The FID with every exponential computed in place, line by line."""
+    tau = np.arange(fp.n_samples) * fp.dt
+    series = np.zeros(fp.n_samples, dtype=complex)
+    for a, mi in zip(amps.as_array(), (-1, +1, 0)):
+        series += a * np.exp(2j * np.pi * fp.line_frequency(mi) * tau)
+    return series * np.exp(-tau / fp.t2star)
+
+
+def formula_spectrum(fid, fp):
+    """Values and grid from an explicit zero pad and fftshift."""
+    padded = np.zeros(fp.padded_length, dtype=complex)
+    padded[: len(fid)] = fid
+    return (np.fft.fftshift(np.fft.fft(padded)),
+            np.fft.fftshift(np.fft.fftfreq(fp.padded_length, fp.dt)))
+
+
+def bit_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+CACHES = (tomography._line_basis, tomography._grid, tomography._calibration)
+# 3000 samples: half the padded length is not a whole number of swap blocks.
+OTHER = FidParams(detuning=-3.1, hyperfine_split=1.7, t2star=0.8, dt=0.05, n_samples=3000)
+
+
+class TestCaches:
+    def test_equal_params_share_the_calibration(self):
+        cal = calibration_spectrum(FidParams())
+        assert calibration_spectrum(FidParams()) is cal
+        assert calibration_spectrum() is cal
+        assert calibration_spectrum(fp=FidParams(n_samples=np.int64(2048))) is cal
+        assert calibration_spectrum(OTHER) is not cal
+
+    def test_cached_arrays_are_read_only(self):
+        cal = calibration_spectrum(OTHER)
+        spec = spectrum(synthesize_fid(THIRD, OTHER), OTHER)
+        for array in (cal.values, cal.freqs_mhz, spec.freqs_mhz):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert bit_equal(cal.values, formula_spectrum(formula_fid(THIRD, OTHER), OTHER)[0])
+
+    def test_results_are_fresh_and_writeable(self):
+        fp = FidParams(n_samples=256)
+        fid = synthesize_fid(THIRD, fp)
+        spec = spectrum(fid, fp)
+        assert fid.flags.writeable and spec.values.flags.writeable
+        fid[:] = 7.0
+        spec.values[:] = 7.0
+        assert bit_equal(synthesize_fid(THIRD, fp), formula_fid(THIRD, fp))
+        again = spectrum(synthesize_fid(THIRD, fp), fp)
+        assert again.values is not spec.values
+        assert bit_equal(again.values, formula_spectrum(formula_fid(THIRD, fp), fp)[0])
+
+    def test_caches_are_bounded(self):
+        for cache in CACHES:
+            assert 0 < cache.cache_info().maxsize <= 8
+        for k in range(max(cache.cache_info().maxsize for cache in CACHES) + 3):
+            calibration_spectrum(FidParams(detuning=1.0 + 0.25 * k, n_samples=256))
+            for cache in CACHES:
+                info = cache.cache_info()
+                assert info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("fp", [FidParams(n_samples=n) for n in (256, 2048, 4096, 16384)]
+                             + [OTHER], ids=lambda fp: f"n{fp.n_samples}-dt{fp.dt}")
+    def test_bit_identical_to_the_formulas(self, fp):
+        rng = np.random.default_rng(fp.n_samples)
+        amps = SpectralAmplitudes(*rng.uniform(-1.0, 1.0, 3))
+        fid = synthesize_fid(amps, fp)
+        assert bit_equal(fid, formula_fid(amps, fp))
+        for series in (fid, fid[: fp.n_samples // 3]):
+            values, freqs = formula_spectrum(series, fp)
+            spec = spectrum(series, fp)
+            assert bit_equal(spec.values, values)
+            assert bit_equal(spec.freqs_mhz, freqs)
+            assert spec.fid_length == len(series)
+        values, freqs = formula_spectrum(formula_fid(THIRD, fp), fp)
+        cal = calibration_spectrum(fp)
+        assert bit_equal(cal.values, values) and bit_equal(cal.freqs_mhz, freqs)
