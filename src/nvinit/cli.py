@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -50,6 +51,10 @@ def _fmt(value: float) -> str:
 
 def _round9(value: float) -> float:
     return float(_fmt(value))
+
+
+def _rounded_fields(record) -> dict:
+    return {name: _round9(value) for name, value in dataclasses.asdict(record).items()}
 
 
 def _state_list(state) -> list:
@@ -110,10 +115,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for t in np.linspace(0.0, args.t_max, args.steps):
         p = propagate(swapped, float(t), cfg.rates)
-        amps = amplitudes(p)
-        rows.append([_fmt(t)] + [_fmt(v) for v in p]
-                    + [_fmt(amps.a_minus1), _fmt(amps.a_plus1), _fmt(amps.a_zero),
-                       _fmt(p[0] + p[1] + p[2])])
+        rows.append([_fmt(v) for v in (t, *p, *amplitudes(p).as_array(), p[0] + p[1] + p[2])])
     path = out / f"sweep_{args.segment}.csv"
     _write_csv(path, ["duration_us", "p0", "p1", "p2", "p3", "p4", "p5",
                       "a_minus1", "a_plus1", "a_zero", "total_ms0"], rows)
@@ -171,16 +173,8 @@ def _cmd_spectrum(args) -> int:
             "mi_plus1": _round9(fp.line_frequency(+1)),
             "mi_zero": _round9(fp.line_frequency(0)),
         },
-        "model_amplitudes": {
-            "a_minus1": _round9(model.a_minus1),
-            "a_plus1": _round9(model.a_plus1),
-            "a_zero": _round9(model.a_zero),
-        },
-        "extracted_amplitudes": {
-            "a_minus1": _round9(extracted.a_minus1),
-            "a_plus1": _round9(extracted.a_plus1),
-            "a_zero": _round9(extracted.a_zero),
-        },
+        "model_amplitudes": _rounded_fields(model),
+        "extracted_amplitudes": _rounded_fields(extracted),
     })
     return 0
 
@@ -192,25 +186,24 @@ def _cmd_optimize(args) -> int:
                                  settings.objective, settings.n_cycles,
                                  settings.strategy, settings.cycle1,
                                  t_max=settings.t_max)
+    rows = [{
+        "cycle": row.cycle,
+        "t1_us": _round9(row.t1),
+        "purity_after_seg1": _round9(row.purity_after_seg1),
+        "t2_us": _round9(row.t2),
+        "purity_after_seg2": _round9(row.purity_after_seg2),
+    } for row in schedule.cycles]
+    # _fmt(_round9(x)) == _fmt(x), so the CSV cells come from the YAML rows.
     csv_path = out / "schedule.csv"
-    _write_csv(csv_path,
-               ["cycle", "t1_us", "purity_after_seg1", "t2_us", "purity_after_seg2"],
-               ([str(row.cycle), _fmt(row.t1), _fmt(row.purity_after_seg1),
-                 _fmt(row.t2), _fmt(row.purity_after_seg2)]
-                for row in schedule.cycles))
+    _write_csv(csv_path, list(rows[0]),
+               ([_fmt(v) for v in row.values()] for row in rows))
     doc = {
         "strategy": schedule.strategy,
         "objective": settings.objective,
         "n_cycles": settings.n_cycles,
         "final_purity": _round9(schedule.final_purity),
         "end_state": _state_list(schedule.end_state),
-        "cycles": [{
-            "cycle": row.cycle,
-            "t1_us": _round9(row.t1),
-            "purity_after_seg1": _round9(row.purity_after_seg1),
-            "t2_us": _round9(row.t2),
-            "purity_after_seg2": _round9(row.purity_after_seg2),
-        } for row in schedule.cycles],
+        "cycles": rows,
     }
     yaml_path = out / "schedule.yaml"
     with open(yaml_path, "w", encoding="utf-8") as handle:

@@ -15,10 +15,9 @@ an effective |Q| closer to 4.95 MHz).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .spinmodel import LEVEL_INDEX
+from .spinmodel import LEVEL_INDEX, _check_real_fields
 
 __all__ = [
     "HamiltonianParams",
@@ -46,9 +45,8 @@ class HamiltonianParams:
     b_field: float = 6.1
 
     def __post_init__(self) -> None:
-        for name in ("d_zfs", "gamma_e", "gamma_n", "quadrupole", "hyperfine", "b_field"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_real_fields(self, "d_zfs", "gamma_e", "gamma_n", "quadrupole",
+                           "hyperfine", "b_field")
         if not self.d_zfs > 0:
             raise ValueError(f"d_zfs must be positive, got {self.d_zfs}")
         if not self.b_field >= 0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -189,8 +189,7 @@ def _coerce_overrides(overrides) -> CycleOverrides:
     return CycleOverrides(*overrides)
 
 
-def _fold(state: np.ndarray, passes, rates: RateParams, w: np.ndarray, t_max: float,
-          first_cycle: int = 1) -> tuple:
+def _fold(state: np.ndarray, passes, rates: RateParams, w: np.ndarray, t_max: float) -> tuple:
     """Run laser passes in order; row i pairs the i-th seg1 and seg2 passes.
 
     A pass is (segment builder, pinned duration or None, start state or
@@ -212,24 +211,23 @@ def _fold(state: np.ndarray, passes, rates: RateParams, w: np.ndarray, t_max: fl
             t, state = t_pinned, _propagate(state, t_pinned, rates)
         done[builder].append((t, float(state[2]), state))
     return tuple(
-        CycleResult(cycle=first_cycle + i, t1=t1, purity_after_seg1=purity1,
+        CycleResult(cycle=i, t1=t1, purity_after_seg1=purity1,
                     t2=t2, purity_after_seg2=purity2, end_state=end)
         for i, ((t1, purity1, _), (t2, purity2, end))
-        in enumerate(zip(done[seg1], done[seg2])))
+        in enumerate(zip(done[seg1], done[seg2]), 1))
 
 
 def run_cycle(p, rates: RateParams = RateParams(), objective: str = P00,
               overrides=None, cycle: int = 1) -> CycleResult:
     """One [seg1 + seg2] cycle with per-segment duration choice.
 
-    Applies the seg1 swaps, picks t1 (override or optimizer on
-    [0, 10] us) and runs the laser; then the same for seg2.  An overrides
-    record may also pin the state handed to seg2 (see CycleOverrides).
+    The one cycle of an interleaved optimize_schedule, numbered cycle:
+    applies the seg1 swaps, picks t1 (override or optimizer on [0, 10] us)
+    and runs the laser; then the same for seg2.  An overrides record may
+    also pin the state handed to seg2 (see CycleOverrides).
     """
-    w = _check_rules(objective)
-    ov = _coerce_overrides(overrides)
-    passes = ((seg1, ov.t1, None), (seg2, ov.t2, ov.seg2_start))
-    return _fold(validate_population(p), passes, rates, w, 10.0, cycle)[0]
+    schedule = optimize_schedule(p, rates, objective, 1, INTERLEAVED, overrides)
+    return replace(schedule.cycles[0], cycle=cycle)
 
 
 def optimize_schedule(p0, rates: RateParams = RateParams(), objective: str = P00,

@@ -13,6 +13,7 @@ at rate k_i.  All times are in microseconds, rates in 1/us.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,19 @@ _EYE3 = np.eye(3)
 _EYE3_MINUS_THIRD = _EYE3 - _THIRD
 
 
+def _check_real_fields(record, *names: str) -> None:
+    """Refuse a named record field that is not a finite real scalar.
+
+    The readout caches key on FidParams, so a 0-d array (unhashable) is refused too.
+    """
+    for name in names:
+        value = getattr(record, name)
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class RateParams:
     """Optical pumping rates in 1/us.
@@ -76,8 +90,7 @@ class RateParams:
     k_i: float = 1.0 / 4.76
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.k_s) and np.isfinite(self.k_i)):
-            raise ValueError("rates must be finite")
+        _check_real_fields(self, "k_s", "k_i")
         if self.k_s <= 0:
             raise ValueError(f"k_s must be positive, got {self.k_s}")
         if self.k_i < 0:

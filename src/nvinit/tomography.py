@@ -22,21 +22,21 @@ the sign: a noise-free FID round-trips to rounding error, for negative
 amplitudes too.
 
 Everything that depends on the FidParams alone (the shifted frequency
-grid, the three unit-line phasors with the decay envelope, and the
-calibration spectrum) is computed once per FidParams and kept in small
-bounded caches.  The cached arrays are shared, so they are read-only.
+grid, the three unit-line phasors with the decay envelope, the
+calibration spectrum and the solved 3x3 unmixing) is computed once per
+FidParams and kept in small bounded caches, whose arrays are read-only.
+Extraction accepts only spectra on exactly that grid.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spinmodel import validate_population
+from .spinmodel import _check_real_fields, validate_population
 
 __all__ = [
     "SpectralAmplitudes",
@@ -72,9 +72,7 @@ class SpectralAmplitudes:
     a_zero: float
 
     def __post_init__(self) -> None:
-        for name in ("a_minus1", "a_plus1", "a_zero"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_real_fields(self, "a_minus1", "a_plus1", "a_zero")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a_minus1, self.a_plus1, self.a_zero])
@@ -102,14 +100,7 @@ class FidParams:
     n_samples: int = 2048
 
     def __post_init__(self) -> None:
-        for name in ("detuning", "hyperfine_split", "t2star", "dt"):
-            value = getattr(self, name)
-            # Real scalars only: the readout caches key on these fields, so
-            # they must be hashable (a 0-d array is not).
-            if not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _check_real_fields(self, "detuning", "hyperfine_split", "t2star", "dt")
         if not self.t2star > 0:
             raise ValueError(f"t2star must be positive, got {self.t2star}")
         if not self.dt > 0:
@@ -248,23 +239,41 @@ def calibration_spectrum(fp: FidParams = FidParams()) -> Spectrum:
 
 
 def _check_grid(spec: Spectrum, fp: FidParams, name: str) -> None:
-    n = fp.padded_length
-    step = 1.0 / (n * fp.dt)
-    freqs = spec.freqs_mhz
-    if len(freqs) != n or abs((freqs[1] - freqs[0]) - step) > 1e-9 * step:
+    grid = _grid(fp)   # spectrum(fid, fp) shares it: identity settles most calls
+    if spec.freqs_mhz is not grid and not np.array_equal(spec.freqs_mhz, grid):
         raise ValueError(f"{name} is not on the grid of the FID parameters "
-                         f"({n} bins of {step:.9g} MHz)")
+                         f"({fp.padded_length} bins of "
+                         f"{1.0 / (fp.padded_length * fp.dt):.9g} MHz)")
 
 
-def _line_template(dt: float, n_samples: int, t2star: float,
-                   f_line: np.ndarray, f_bin: np.ndarray) -> np.ndarray:
-    """DFT at f_bin of a unit line at f_line: sum_k z^k = (1 - z^N)/(1 - z).
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _unmixing(fp: FidParams) -> tuple[np.ndarray, np.ndarray, complex]:
+    """Line bins, adjugate and determinant of the 3x3 unit-line templates.
 
-    z = exp(dt (2 pi i (f_line - f_bin) - 1/t2star)); expm1 keeps both
-    numerator and denominator accurate when z is close to 1.
+    Read-only; 184 bytes of arrays per entry, whatever the sample count.
+    Refuses a line outside the grid and two lines in one bin.
     """
-    w = dt * (2j * np.pi * (f_line - f_bin) - 1.0 / t2star)
-    return np.expm1(n_samples * w) / np.expm1(w)
+    freqs = _grid(fp)
+    lines = np.array([fp.line_frequency(mi) for mi in _MI_ORDER])
+    for f0 in lines:
+        if f0 < freqs[0] or f0 > freqs[-1]:
+            raise ValueError(f"line frequency {f0} MHz is outside the spectral grid")
+    bins = np.rint((lines - freqs[0]) / (freqs[1] - freqs[0])).astype(int)
+    if len(set(bins.tolist())) < len(bins):
+        raise ValueError("two lines share a spectral bin; their amplitudes "
+                         "cannot be separated (hyperfine_split too small)")
+    # T[b, m] is the DFT at bin b of a unit line m: sum_k z^k = (1 - z^N)/(1 - z)
+    # with z = exp(dt (2 pi i (f_m - f_b) - 1/t2star)); expm1 keeps both
+    # numerator and denominator accurate when z is close to 1.
+    w = fp.dt * (2j * np.pi * (lines[np.newaxis, :] - freqs[bins][:, np.newaxis])
+                 - 1.0 / fp.t2star)
+    cols = (np.expm1(fp.n_samples * w) / np.expm1(w)).T
+    # Cramer's rule: row m of the inverse is the cross product of the other
+    # two template columns over the determinant (cond(T) is 1.1 at the default
+    # 2.16 MHz spacing).  Elementwise sums keep BLAS and LAPACK, and the
+    # memory they map, out of a 3x3 solve.
+    adjugate = np.cross(cols[[1, 2, 0]], cols[[2, 0, 1]])
+    return _read_only(bins), _read_only(adjugate), (adjugate[0] * cols[0]).sum()
 
 
 def extract_amplitudes(spec: Spectrum, fp: FidParams,
@@ -274,15 +283,16 @@ def extract_amplitudes(spec: Spectrum, fp: FidParams,
     The spectrum of an FID synthesized with fp is linear in the three
     amplitudes.  The bin nearest each line frequency is taken, the 3x3
     complex matrix T[b, m] holds the closed-form DFT of a unit line m at
-    bin b, and T a = spectrum[b] is solved; the real parts are returned.
-    A noise-free spectrum is recovered to rounding error, whatever the
-    signs of the amplitudes.
+    bin b, and T a = spectrum[b] is solved, once per FidParams; the real
+    parts are returned.  A noise-free spectrum is recovered to rounding
+    error, whatever the signs of the amplitudes.
 
-    calibration is the reference spectrum (calibration_spectrum(fp));
-    the unmixing needs no reference, so it is only checked to lie on
-    fp's grid, as spec is.  Raises ValueError when either spectrum is off
-    that grid, when spec is not of an FID of fp.n_samples samples, when a
-    line lies outside the grid, or when two lines share a bin.
+    calibration is the reference spectrum (calibration_spectrum(fp)).
+    The unmixing needs no reference, so it is only checked to lie on the
+    grid of spectrum(fid, fp), element for element, as spec is.  Raises
+    ValueError when either spectrum is off that grid, when spec is not of
+    an FID of fp.n_samples samples, when a line lies outside the grid, or
+    when two lines share a bin.
     """
     if calibration is None:
         raise ValueError("extraction requires a calibration spectrum")
@@ -291,22 +301,6 @@ def extract_amplitudes(spec: Spectrum, fp: FidParams,
         raise ValueError(f"spectrum is of {spec.fid_length} FID samples, "
                          f"the FID parameters have {fp.n_samples}")
     _check_grid(calibration, fp, "calibration spectrum")
-    freqs = spec.freqs_mhz
-    lines = np.array([fp.line_frequency(mi) for mi in _MI_ORDER])
-    for f0 in lines:
-        if f0 < freqs[0] or f0 > freqs[-1]:
-            raise ValueError(f"line frequency {f0} MHz is outside the spectral grid")
-    bins = np.rint((lines - freqs[0]) / (freqs[1] - freqs[0])).astype(int)
-    if len(set(bins.tolist())) < len(bins):
-        raise ValueError("two lines share a spectral bin; their amplitudes "
-                         "cannot be separated (hyperfine_split too small)")
-    templates = _line_template(fp.dt, fp.n_samples, fp.t2star,
-                               lines[np.newaxis, :], freqs[bins][:, np.newaxis])
-    # Cramer's rule: row m of the inverse is the cross product of the other
-    # two template columns over the determinant (cond(T) is 1.1 at the default
-    # 2.16 MHz spacing).  Elementwise sums keep BLAS and LAPACK, and the
-    # memory they map, out of a 3x3 solve.
-    cols = templates.T
-    adjugate = np.cross(cols[[1, 2, 0]], cols[[2, 0, 1]])
-    amps = (adjugate * spec.values[bins]).sum(axis=1) / (adjugate[0] * cols[0]).sum()
+    bins, adjugate, det = _unmixing(fp)
+    amps = (adjugate * spec.values[bins]).sum(axis=1) / det
     return SpectralAmplitudes(*(float(a) for a in amps.real))

@@ -11,6 +11,8 @@ import pytest
 
 from nvinit.cli import main
 from nvinit.config import ConfigError, parse_config, parse_sequence
+from nvinit.hamiltonian import HamiltonianParams
+from nvinit.spinmodel import RateParams
 from nvinit.tomography import (FidParams, SpectralAmplitudes, Spectrum,
                                calibration_spectrum, extract_amplitudes, spectrum,
                                synthesize_fid)
@@ -83,3 +85,25 @@ def test_cli_unhashable_pulse_kind(tmp_path, capsys):
     seq.write_text("pulses: [{kind: [1]}]\n")
     assert main(["simulate", "--out", str(tmp_path), str(seq)]) == 1
     assert capsys.readouterr().err == "error: pulses[0].kind: unknown pulse kind [1]\n"
+
+
+AMPS = {"a_minus1": 0.1, "a_plus1": 0.2, "a_zero": 0.3}
+
+
+@pytest.mark.parametrize("record, kwargs, message", [
+    # These used to raise a TypeError, "The truth value of an array with
+    # more than one element is ambiguous", or a bare "rates must be finite".
+    (RateParams, {"k_s": "3"}, "k_s must be a real number, got '3'"),
+    (RateParams, {"k_s": np.array([3.0, 4.0])},
+     "k_s must be a real number, got array([3., 4.])"),
+    (RateParams, {"k_s": float("nan")}, "k_s must be finite, got nan"),
+    (RateParams, {"k_i": float("inf")}, "k_i must be finite, got inf"),
+    (HamiltonianParams, {"d_zfs": None}, "d_zfs must be a real number, got None"),
+    (HamiltonianParams, {"b_field": np.array(6.1)},
+     "b_field must be a real number, got array(6.1)"),
+    (SpectralAmplitudes, {**AMPS, "a_plus1": 1j}, "a_plus1 must be a real number, got 1j"),
+    (FidParams, {"dt": "0.02"}, "dt must be a real number, got '0.02'"),
+])
+def test_parameter_record_field_that_is_not_a_finite_real(record, kwargs, message):
+    with refused(ValueError, message):
+        record(**kwargs)

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from nvinit import tomography
 from nvinit.pulses import initial_state, run_segment, seg1, seg2
-from nvinit.tomography import (FidParams, SpectralAmplitudes, amplitudes,
+from nvinit.tomography import (FidParams, SpectralAmplitudes, Spectrum, amplitudes,
                                calibration_spectrum, extract_amplitudes,
                                spectrum, synthesize_fid)
 
@@ -190,11 +192,13 @@ class TestExtraction:
             extract_amplitudes(spec, fp, None)
 
     def test_line_must_be_inside_grid(self):
-        fp = FidParams()
-        spec = spectrum(synthesize_fid(THIRD, fp), fp)
-        narrow = FidParams(detuning=24.0, dt=0.01)
-        with pytest.raises(ValueError):
-            extract_amplitudes(spec, narrow, calibration_spectrum(fp))
+        # The m_I = +1 line sits between the last bin and Nyquist.  The
+        # unmixing is cached, so the refusal must fire on every call.
+        fp = FidParams(detuning=15.5, hyperfine_split=0.484375, dt=0.03125, n_samples=256)
+        cal = calibration_spectrum(fp)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^line frequency 15.984375 MHz is outside"):
+                extract_amplitudes(cal, fp, cal)
 
     def test_calibration_self_extraction_is_exact(self):
         fp = FidParams()
@@ -249,9 +253,10 @@ class TestExtraction:
     def test_lines_sharing_a_bin_are_refused(self):
         fp = FidParams(hyperfine_split=0.0)
         cal = calibration_spectrum(fp)
-        with pytest.raises(ValueError) as info:
-            extract_amplitudes(cal, fp, cal)
-        assert "\n" not in str(info.value)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^two lines share a spectral bin") as info:
+                extract_amplitudes(cal, fp, cal)
+            assert "\n" not in str(info.value)
 
     def test_fid_of_other_length_is_refused(self):
         # a 256-sample FID on the default grid used to read back as
@@ -271,6 +276,35 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_amplitudes(calibration_spectrum(fp), fp, short)
 
+    @pytest.mark.parametrize("warp", ["shifted by 40 bins", "uniform up to bin 100"])
+    def test_spectrum_near_the_grid_is_refused(self, warp):
+        # Same length and first step as the grid: both used to be accepted,
+        # and the shifted one read (0.0046, 0.044, 0.051) for (0.07, 0.33, 0.5).
+        fp = FidParams()
+        spec = spectrum(synthesize_fid(SpectralAmplitudes(0.07, 0.33, 0.5), fp), fp)
+        cal = calibration_spectrum(fp)
+        step = spec.freqs_mhz[1] - spec.freqs_mhz[0]
+        if warp == "shifted by 40 bins":
+            freqs = spec.freqs_mhz + 40 * step
+        else:
+            freqs = spec.freqs_mhz.copy()
+            freqs[101:] += 0.5 * step
+        grid = "is not on the grid of the FID parameters (8192 bins of 0.00610351562 MHz)"
+        with pytest.raises(ValueError, match="^" + re.escape("spectrum " + grid) + "$"):
+            extract_amplitudes(Spectrum(freqs, spec.values, spec.fid_length), fp, cal)
+        with pytest.raises(ValueError,
+                           match="^" + re.escape("calibration spectrum " + grid) + "$"):
+            extract_amplitudes(spec, fp, Spectrum(freqs, cal.values, cal.fid_length))
+
+    def test_equal_grid_that_is_not_the_cached_one_is_accepted(self):
+        fp = FidParams()
+        spec = spectrum(synthesize_fid(amplitudes(PUBLISHED), fp), fp)
+        fresh = np.fft.fftshift(np.fft.fftfreq(fp.padded_length, fp.dt))
+        assert fresh is not spec.freqs_mhz
+        got = extract_amplitudes(Spectrum(fresh, spec.values, spec.fid_length), fp,
+                                 calibration_spectrum(fp))
+        assert got == extract_amplitudes(spec, fp, calibration_spectrum(fp))
+
 
 def formula_fid(amps, fp):
     """The FID with every exponential computed in place, line by line."""
@@ -289,13 +323,32 @@ def formula_spectrum(fid, fp):
             np.fft.fftshift(np.fft.fftfreq(fp.padded_length, fp.dt)))
 
 
+def formula_amplitudes(spec, fp):
+    """The 3x3 unmixing solved in place, from spec's own grid."""
+    freqs = spec.freqs_mhz
+    lines = np.array([fp.line_frequency(mi) for mi in (-1, +1, 0)])
+    bins = np.rint((lines - freqs[0]) / (freqs[1] - freqs[0])).astype(int)
+    w = fp.dt * (2j * np.pi * (lines[np.newaxis, :] - freqs[bins][:, np.newaxis])
+                 - 1.0 / fp.t2star)
+    cols = (np.expm1(fp.n_samples * w) / np.expm1(w)).T
+    adjugate = np.cross(cols[[1, 2, 0]], cols[[2, 0, 1]])
+    amps = (adjugate * spec.values[bins]).sum(axis=1) / (adjugate[0] * cols[0]).sum()
+    return amps.real
+
+
 def bit_equal(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-CACHES = (tomography._line_basis, tomography._grid, tomography._calibration)
+CACHES = (tomography._line_basis, tomography._grid, tomography._calibration,
+          tomography._unmixing)
 # 3000 samples: half the padded length is not a whole number of swap blocks.
 OTHER = FidParams(detuning=-3.1, hyperfine_split=1.7, t2star=0.8, dt=0.05, n_samples=3000)
+FORMULA_PARAMS = [FidParams(n_samples=n) for n in (256, 2048, 4096, 16384)] + [OTHER]
+
+
+def fp_id(fp):
+    return f"n{fp.n_samples}-dt{fp.dt}"
 
 
 class TestCaches:
@@ -309,9 +362,10 @@ class TestCaches:
     def test_cached_arrays_are_read_only(self):
         cal = calibration_spectrum(OTHER)
         spec = spectrum(synthesize_fid(THIRD, OTHER), OTHER)
-        for array in (cal.values, cal.freqs_mhz, spec.freqs_mhz):
+        bins, adjugate, _ = tomography._unmixing(OTHER)
+        for array in (cal.values, cal.freqs_mhz, spec.freqs_mhz, bins, adjugate):
             with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
+                array[0] = 0
         assert bit_equal(cal.values, formula_spectrum(formula_fid(THIRD, OTHER), OTHER)[0])
 
     def test_results_are_fresh_and_writeable(self):
@@ -330,13 +384,13 @@ class TestCaches:
         for cache in CACHES:
             assert 0 < cache.cache_info().maxsize <= 8
         for k in range(max(cache.cache_info().maxsize for cache in CACHES) + 3):
-            calibration_spectrum(FidParams(detuning=1.0 + 0.25 * k, n_samples=256))
+            fp = FidParams(detuning=1.0 + 0.25 * k, n_samples=256)
+            extract_amplitudes(calibration_spectrum(fp), fp, calibration_spectrum(fp))
             for cache in CACHES:
                 info = cache.cache_info()
                 assert info.currsize <= info.maxsize
 
-    @pytest.mark.parametrize("fp", [FidParams(n_samples=n) for n in (256, 2048, 4096, 16384)]
-                             + [OTHER], ids=lambda fp: f"n{fp.n_samples}-dt{fp.dt}")
+    @pytest.mark.parametrize("fp", FORMULA_PARAMS, ids=fp_id)
     def test_bit_identical_to_the_formulas(self, fp):
         rng = np.random.default_rng(fp.n_samples)
         amps = SpectralAmplitudes(*rng.uniform(-1.0, 1.0, 3))
@@ -351,3 +405,14 @@ class TestCaches:
         values, freqs = formula_spectrum(formula_fid(THIRD, fp), fp)
         cal = calibration_spectrum(fp)
         assert bit_equal(cal.values, values) and bit_equal(cal.freqs_mhz, freqs)
+
+    @pytest.mark.parametrize("fp", FORMULA_PARAMS, ids=fp_id)
+    def test_extraction_bit_identical_to_the_solve_in_place(self, fp):
+        rng = np.random.default_rng(fp.n_samples + 1)
+        draws = rng.uniform(-1.0, 1.0, (20, 3))
+        draws[0] = -np.abs(draws[0])
+        cal = calibration_spectrum(fp)
+        for amps in draws:
+            spec = spectrum(synthesize_fid(SpectralAmplitudes(*amps), fp), fp)
+            got = extract_amplitudes(spec, fp, cal).as_array()
+            assert bit_equal(got, formula_amplitudes(spec, fp))
