@@ -31,7 +31,7 @@ from .config import load_config, parse_sequence
 from .hamiltonian import transition_table
 from .optimizer import REFERENCE_CYCLE1_OVERRIDES, optimize_schedule
 from .pulses import initial_state, run_segment, run_sequence, seg1, seg2
-from .spinmodel import propagate, validate_population
+from .spinmodel import _check_number, propagate, validate_population
 from .tomography import (amplitudes, calibration_spectrum, extract_amplitudes,
                          spectrum, synthesize_fid)
 
@@ -101,10 +101,8 @@ def _cmd_transitions(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, out = _setup(args)
-    if args.steps < 2:
-        raise ValueError(f"steps must be at least 2, got {args.steps}")
-    if not 0.0 < args.t_max < np.inf:
-        raise ValueError(f"t-max must be positive and finite, got --t-max {args.t_max:g}")
+    _check_number("--steps", args.steps, 2, integer=True)
+    _check_number("--t-max", args.t_max, 0, strict=True)
     if args.segment == "seg1":
         start, segment = initial_state(cfg.rates), seg1(0.0)
     else:

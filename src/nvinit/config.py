@@ -3,7 +3,9 @@
 One YAML schema drives every command.  All keys are optional; omitted
 sections fall back to the built-in defaults (the measured rates and
 spin-Hamiltonian constants).  Unknown keys are rejected with the full
-dotted path so typos surface instead of silently using a default.
+dotted path so typos surface instead of silently using a default.  Values
+are checked by the library's own rules, the rates by the scalar rule under
+their dotted key.
 
     rates:
       k_s_per_us: 3.7037     # or inv_k_s_us: 0.27 (not both)
@@ -43,7 +45,6 @@ Pulse sequences for the simulate command use a second small schema:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import yaml
@@ -52,7 +53,7 @@ from .hamiltonian import HamiltonianParams
 from .optimizer import (INTERLEAVED, P00, REFERENCE_CYCLE1_OVERRIDES, CycleOverrides,
                         _check_rules)
 from .pulses import Laser, MwPi, RfPi
-from .spinmodel import RateParams, validate_population
+from .spinmodel import RateParams, _check_number, validate_population
 from .tomography import FidParams
 
 __all__ = [
@@ -143,34 +144,20 @@ def _state_vector(node, path: str):
     return values
 
 
-def _finite(node, path: str) -> float:
-    value = _number(node, path)
-    if not math.isfinite(value):
-        raise ConfigError(f"{path} must be finite, got {value:g}")
-    return value
-
-
-def _positive(value: float, path: str) -> float:
-    if value <= 0:
-        raise ConfigError(f"{path} must be positive, got {value:g}")
-    return value
-
-
 def _rate(section: dict, direct: str, inverse: str, path: str,
           default: float, allow_zero: bool) -> float:
     d_key, i_key = _join(path, direct), _join(path, inverse)
     if direct in section and inverse in section:
         raise ConfigError(f"{d_key} and {i_key} are mutually exclusive")
-    if inverse in section:
-        return 1.0 / _positive(_finite(section[inverse], i_key), i_key)
-    if direct in section:
-        value = _finite(section[direct], d_key)
-        if allow_zero:
-            if value < 0:
-                raise ConfigError(f"{d_key} must be nonnegative, got {value:g}")
-            return value
-        return _positive(value, d_key)
-    return default
+    if direct not in section and inverse not in section:
+        return default
+    name, key = (inverse, i_key) if inverse in section else (direct, d_key)
+    try:
+        value = _check_number(key, _number(section[name], key), 0,
+                              strict=name == inverse or not allow_zero)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return 1.0 / value if name == inverse else value
 
 
 def _parse_rates(node, path: str) -> RateParams:

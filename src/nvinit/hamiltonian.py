@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .spinmodel import LEVEL_INDEX, _check_real_fields
+from .spinmodel import LEVELS, _check_number
 
 __all__ = [
     "HamiltonianParams",
@@ -45,12 +45,10 @@ class HamiltonianParams:
     b_field: float = 6.1
 
     def __post_init__(self) -> None:
-        _check_real_fields(self, "d_zfs", "gamma_e", "gamma_n", "quadrupole",
-                           "hyperfine", "b_field")
-        if not self.d_zfs > 0:
-            raise ValueError(f"d_zfs must be positive, got {self.d_zfs}")
-        if not self.b_field >= 0:
-            raise ValueError(f"b_field must be nonnegative, got {self.b_field}")
+        _check_number("d_zfs", self.d_zfs, 0, strict=True)
+        for name in ("gamma_e", "gamma_n", "quadrupole", "hyperfine"):
+            _check_number(name, getattr(self, name))
+        _check_number("b_field", self.b_field, 0)
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ REFERENCE_TRANSITIONS = (
 
 def energy(level: tuple[int, int], params: HamiltonianParams = HamiltonianParams()) -> float:
     """Energy of |m_s, m_I> in MHz."""
-    if level not in LEVEL_INDEX:
+    if level not in LEVELS:
         raise ValueError(f"unknown level {level}")
     ms, mi = level
     return (params.d_zfs * ms * ms

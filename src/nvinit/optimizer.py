@@ -21,13 +21,13 @@ give bit-identical schedules.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .pulses import _step, seg1, seg2
-from .spinmodel import RateParams, _line_coefficients, _propagate, validate_population
+from .spinmodel import (RateParams, _check_number, _line_coefficients, _propagate,
+                        validate_population)
 
 __all__ = [
     "P00",
@@ -57,6 +57,9 @@ _TIE_TOL = 1e-6      # objective value; ties resolve to the smallest t
 _WEIGHTS = {P00: np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
             A0: np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0])}
 
+#: The swap pulses of each segment builder, everything but its laser.
+_SWAPS = {builder: builder(0.0).pulses[:-1] for builder in (seg1, seg2)}
+
 
 def _check_rules(objective: str, t_max: float = 10.0, strategy: str = INTERLEAVED,
                  n_cycles: int = 1) -> np.ndarray:
@@ -64,16 +67,12 @@ def _check_rules(objective: str, t_max: float = 10.0, strategy: str = INTERLEAVE
 
     Every public optimizer function and config.OptimizerSettings call it first.
     """
-    if not 0.0 < t_max < math.inf:
-        raise ValueError(f"t_max must be finite and positive, got {t_max}")
+    _check_number("t_max", t_max, 0, strict=True)
     if objective not in (P00, A0):
         raise ValueError(f"unknown objective {objective!r}")
     if strategy not in (INTERLEAVED, BLOCKED):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if isinstance(n_cycles, bool) or not isinstance(n_cycles, numbers.Integral):
-        raise ValueError(f"n_cycles must be an integer, got {n_cycles!r}")
-    if not 1 <= n_cycles <= 20:
-        raise ValueError(f"n_cycles must be in [1, 20], got {n_cycles}")
+    _check_number("n_cycles", n_cycles, 1, 20, integer=True)
     return _WEIGHTS[objective]
 
 
@@ -101,9 +100,8 @@ class CycleOverrides:
 
     def __post_init__(self) -> None:
         for name, val in (("t1", self.t1), ("t2", self.t2)):
-            if val is not None and not 0.0 <= val < math.inf:
-                raise ValueError(
-                    f"{name} override must be finite and nonnegative, got {val}")
+            if val is not None:
+                _check_number(f"{name} override", val, 0)
         if self.seg2_start is not None:
             validate_population(self.seg2_start)
 
@@ -198,12 +196,11 @@ def _fold(state: np.ndarray, passes, rates: RateParams, w: np.ndarray, t_max: fl
     search on w picks, all through the pulse step of pulses.apply_pulse.
     The callers have checked every input, so nothing here is checked again.
     """
-    swaps = {builder: builder(0.0).pulses[:-1] for builder in (seg1, seg2)}
     done = {seg1: [], seg2: []}
     for builder, t_pinned, start in passes:
         if start is not None:
             state = np.asarray(start, dtype=float)
-        for pulse in swaps[builder]:
+        for pulse in _SWAPS[builder]:
             state = _step(state, pulse, rates)
         if t_pinned is None:
             t, _, state = _line_search(w, state, rates, t_max)
@@ -226,6 +223,7 @@ def run_cycle(p, rates: RateParams = RateParams(), objective: str = P00,
     and runs the laser; then the same for seg2.  An overrides record may
     also pin the state handed to seg2 (see CycleOverrides).
     """
+    _check_number("cycle", cycle, 1, integer=True)
     schedule = optimize_schedule(p, rates, objective, 1, INTERLEAVED, overrides)
     return replace(schedule.cycles[0], cycle=cycle)
 

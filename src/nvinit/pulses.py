@@ -11,13 +11,13 @@ population into |0,0>, seg2 does the same for m_I=+1:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hamiltonian import REFERENCE_TRANSITIONS
-from .spinmodel import LEVEL_INDEX, RateParams, _propagate, validate_population
+from .spinmodel import (LEVEL_INDEX, RateParams, _check_number, _propagate,
+                        validate_population)
 
 __all__ = [
     "MwPi",
@@ -45,11 +45,10 @@ MW_PAIRS, RF_PAIRS = (tuple(ref.pair for ref in REFERENCE_TRANSITIONS if ref.kin
 
 
 def _check_swap(pulse, allowed, kind: str) -> None:
-    normalized = {pulse.pair, (pulse.pair[1], pulse.pair[0])}
-    if not any(p in normalized for p in allowed):
+    # Compared by equality, never hashed, so a list is refused like any other non-pair.
+    if not any(pulse.pair in (pair, pair[::-1]) for pair in allowed):
         raise ValueError(f"invalid transition pair for {kind}: {pulse.pair}")
-    if not 0.0 <= pulse.swap_fidelity <= 1.0:
-        raise ValueError(f"swap_fidelity must be in [0, 1], got {pulse.swap_fidelity}")
+    _check_number("swap_fidelity", pulse.swap_fidelity, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,7 @@ class Laser:
     duration: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.duration < math.inf:
-            raise ValueError(
-                f"laser duration must be finite and nonnegative, got {self.duration}")
+        _check_number("laser duration", self.duration, 0)
 
 
 Pulse = MwPi | RfPi | Laser
@@ -183,7 +180,6 @@ def initial_state(rates: RateParams = RateParams(), init_laser: float = 5.0) -> 
     for init_laser us.  With the default 5 us this lands within 1e-4 of
     (1/3, 1/3, 1/3, 0, 0, 0).
     """
-    if not 0.0 < init_laser < math.inf:
-        raise ValueError(f"init_laser must be finite and positive, got {init_laser}")
+    _check_number("init_laser", init_laser, 0, strict=True)
     mixed = np.full(6, 1.0 / 6.0)
     return _propagate(mixed, init_laser, rates)

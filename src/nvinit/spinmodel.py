@@ -8,6 +8,10 @@ m_I in {-1, +1, 0}.  Canonical index order of the population vector:
 During laser illumination the electron repolarizes (-1 -> 0) at rate k_s
 while the nuclear spin hops between the m_I levels of the m_s=0 manifold
 at rate k_i.  All times are in microseconds, rates in 1/us.
+
+_check_number, defined here, is the package's one rule for a public
+scalar input (a rate, a duration, a count, a record field): a finite real
+number in its range, else a one-line ValueError naming it.
 """
 
 from __future__ import annotations
@@ -57,17 +61,34 @@ _EYE3 = np.eye(3)
 _EYE3_MINUS_THIRD = _EYE3 - _THIRD
 
 
-def _check_real_fields(record, *names: str) -> None:
-    """Refuse a named record field that is not a finite real scalar.
+def _check_number(name: str, value, low: float = -math.inf, high: float = math.inf,
+                  strict: bool = False, integer: bool = False):
+    """The one scalar rule of the package: return value, or refuse it in one line.
 
-    The readout caches key on FidParams, so a 0-d array (unhashable) is refused too.
+    value must be a real number (an integer when integer), not a bool and not
+    an array (a 0-d one included: the readout caches key on FidParams, so
+    fields must be hashable), finite, and in [low, high], or (low, high] when
+    strict.  Each refusal is a one-line ValueError that starts with name.
     """
-    for name in names:
-        value = getattr(record, name)
-        if not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a real number'}, "
+                         f"got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:           # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value > high or (value <= low if strict else value < low):
+        if math.isfinite(high):
+            bounds = f"in {'(' if strict else '['}{low:g}, {high:g}]"
+        elif low == 0:
+            bounds = "positive" if strict else "nonnegative"
+        else:
+            bounds = f"{'greater than' if strict else 'at least'} {low:g}"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -90,11 +111,8 @@ class RateParams:
     k_i: float = 1.0 / 4.76
 
     def __post_init__(self) -> None:
-        _check_real_fields(self, "k_s", "k_i")
-        if self.k_s <= 0:
-            raise ValueError(f"k_s must be positive, got {self.k_s}")
-        if self.k_i < 0:
-            raise ValueError(f"k_i must be nonnegative, got {self.k_i}")
+        _check_number("k_s", self.k_s, 0, strict=True)
+        _check_number("k_i", self.k_i, 0)
 
     @property
     def degenerate(self) -> bool:
@@ -118,11 +136,6 @@ def validate_population(p) -> np.ndarray:
     if abs(total - 1.0) > _SUM_TOL:
         raise ValueError(f"population vector must sum to 1, got {float(total)!r}")
     return arr
-
-
-def _check_duration(t: float) -> None:
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"duration must be finite and nonnegative, got {t}")
 
 
 def _clamp_dust(p: np.ndarray) -> np.ndarray:
@@ -177,7 +190,11 @@ def propagator(t: float, rates: RateParams = RateParams()) -> np.ndarray:
     numpy.ndarray, shape (6, 6)
         Columns are probability vectors (sum to 1).
     """
-    _check_duration(t)
+    return _closed_form(_check_number("duration", t, 0), rates)
+
+
+def _closed_form(t: float, rates: RateParams) -> np.ndarray:
+    """propagator on an already checked duration; it is not checked again."""
     u = np.zeros((6, 6))
     ks, ki = rates.k_s, rates.k_i
     e3 = math.exp(-3.0 * ki * t)
@@ -212,8 +229,8 @@ def _line_coefficients(w: np.ndarray, p: np.ndarray, rates: RateParams) -> tuple
 
 
 def _propagate(vec: np.ndarray, t: float, rates: RateParams) -> np.ndarray:
-    """The laser step on an already validated vector; it is not checked again."""
-    return _clamp_dust(propagator(t, rates) @ vec)
+    """The laser step on an already checked vector and duration; neither is checked again."""
+    return _clamp_dust(_closed_form(t, rates) @ vec)
 
 
 def propagate(p, t: float, rates: RateParams = RateParams()) -> np.ndarray:
@@ -222,7 +239,7 @@ def propagate(p, t: float, rates: RateParams = RateParams()) -> np.ndarray:
     Equivalent to propagator(t, rates) @ p with simplex cleanup: float
     dust in [-1e-12, 0) is clamped to zero.
     """
-    return _propagate(validate_population(p), t, rates)
+    return _propagate(validate_population(p), _check_number("duration", t, 0), rates)
 
 
 def propagate_numeric(p, t: float, rates: RateParams = RateParams(),
@@ -246,9 +263,8 @@ def propagate_numeric(p, t: float, rates: RateParams = RateParams(),
     step : float
         Maximum step size in us; must satisfy 0 < step <= 1e-2.
     """
-    if not 0.0 < step <= 1e-2:
-        raise ValueError(f"step must be in (0, 1e-2] us, got {step}")
-    _check_duration(t)
+    _check_number("step", step, 0, 1e-2, strict=True)
+    _check_number("duration", t, 0)
     vec = validate_population(p)
     if t == 0.0:
         return vec.copy()
@@ -293,7 +309,7 @@ def seg1_reference_solution(t: float, rates: RateParams = RateParams()) -> np.nd
     components it matches propagate() from (0,1,1,0,0,1)/3 exactly.
     Never used as the production path.
     """
-    _check_duration(t)
+    _check_number("duration", t, 0)
     es, e3, den = _exp_pair(t, rates)
     ks, ki = rates.k_s, rates.k_i
     c1 = 1.0 - ki * (es - e3) / den
@@ -314,7 +330,7 @@ def seg2_reference_solution(t: float, rates: RateParams = RateParams()) -> np.nd
     component 2 is good for nothing beyond documenting the defect.
     Never used as the production path.
     """
-    _check_duration(t)
+    _check_number("duration", t, 0)
     es, e3, den = _exp_pair(t, rates)
     ks, ki = rates.k_s, rates.k_i
     c1 = 0.34 + (e3 * (0.26 * ks - 0.4 * ki) - 0.38 * ki * es) / den

@@ -31,12 +31,11 @@ Extraction accepts only spectra on exactly that grid.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spinmodel import _check_real_fields, validate_population
+from .spinmodel import _check_number, validate_population
 
 __all__ = [
     "SpectralAmplitudes",
@@ -72,7 +71,8 @@ class SpectralAmplitudes:
     a_zero: float
 
     def __post_init__(self) -> None:
-        _check_real_fields(self, "a_minus1", "a_plus1", "a_zero")
+        for name in ("a_minus1", "a_plus1", "a_zero"):
+            _check_number(name, getattr(self, name))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a_minus1, self.a_plus1, self.a_zero])
@@ -100,16 +100,11 @@ class FidParams:
     n_samples: int = 2048
 
     def __post_init__(self) -> None:
-        _check_real_fields(self, "detuning", "hyperfine_split", "t2star", "dt")
-        if not self.t2star > 0:
-            raise ValueError(f"t2star must be positive, got {self.t2star}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if isinstance(self.n_samples, bool) or not isinstance(self.n_samples,
-                                                              numbers.Integral):
-            raise ValueError(f"n_samples must be an integer, got {self.n_samples!r}")
-        if self.n_samples < 256:
-            raise ValueError(f"n_samples must be at least 256, got {self.n_samples}")
+        _check_number("detuning", self.detuning)
+        _check_number("hyperfine_split", self.hyperfine_split)
+        _check_number("t2star", self.t2star, 0, strict=True)
+        _check_number("dt", self.dt, 0, strict=True)
+        _check_number("n_samples", self.n_samples, 256, integer=True)
         if abs(self.detuning) + abs(self.hyperfine_split) >= 0.5 / self.dt:
             raise ValueError(
                 "line frequencies violate the Nyquist limit: "
@@ -135,8 +130,13 @@ class Spectrum:
     fid_length: int
 
     def __post_init__(self) -> None:
+        for name in ("freqs_mhz", "values"):
+            array = getattr(self, name)
+            if not isinstance(array, np.ndarray):
+                raise ValueError(f"{name} must be a numpy array, got {type(array).__name__}")
         if self.freqs_mhz.shape != self.values.shape:
             raise ValueError("frequency grid and values must have equal length")
+        _check_number("fid_length", self.fid_length, 1, integer=True)
 
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)

@@ -87,15 +87,15 @@ class TestSweep:
     def test_step_validation(self, tmp_path, capsys):
         assert main(["sweep", "seg1", "--out", str(tmp_path), "--steps", "1"]) == 1
         err = capsys.readouterr().err
-        assert err == "error: steps must be at least 2, got 1\n"
+        assert err == "error: --steps must be at least 2, got 1\n"
         assert main(["sweep", "seg1", "--out", str(tmp_path), "--t-max", "0"]) == 1
-        assert capsys.readouterr().err.startswith("error: t-max must be positive")
+        assert capsys.readouterr().err.startswith("error: --t-max must be positive")
 
     def test_non_finite_t_max_is_refused(self, tmp_path, capsys):
         for bad in ("nan", "inf"):
             assert main(["sweep", "seg1", "--out", str(tmp_path), "--t-max", bad]) == 1
             err = capsys.readouterr().err
-            assert err == f"error: t-max must be positive and finite, got --t-max {bad}\n"
+            assert err == f"error: --t-max must be finite, got {bad}\n"
 
     def test_unknown_segment_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,5 @@
 """Model invariants as property tests: simplex, semigroup, mirror, involution
-and linear unmixing."""
+and linear unmixing; and the one scalar rule at every public scalar input."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nvinit.pulses import MW_PAIRS, RF_PAIRS, MwPi, RfPi, apply_pulse  # noqa: E402
-from nvinit.spinmodel import NUCLEAR_MIRROR, RateParams, propagate, propagator  # noqa: E402
-from nvinit.tomography import (FidParams, SpectralAmplitudes,  # noqa: E402
+from nvinit.config import OptimizerSettings  # noqa: E402
+from nvinit.hamiltonian import HamiltonianParams  # noqa: E402
+from nvinit.optimizer import (CycleOverrides, optimize_laser,  # noqa: E402
+                              optimize_schedule, run_cycle)
+from nvinit.pulses import (MW_PAIRS, RF_PAIRS, Laser, MwPi, RfPi,  # noqa: E402
+                           apply_pulse, initial_state)
+from nvinit.spinmodel import (NUCLEAR_MIRROR, RateParams, propagate,  # noqa: E402
+                              propagate_numeric, propagator, seg1_reference_solution,
+                              seg2_reference_solution)
+from nvinit.tomography import (FidParams, SpectralAmplitudes, Spectrum,  # noqa: E402
                                calibration_spectrum, extract_amplitudes, spectrum,
                                synthesize_fid)
 
@@ -88,3 +95,42 @@ def test_unmixing_is_linear(fp, a1, a2, alpha, beta):
     got = extract_amplitudes(spectrum(fid, fp), fp, calibration_spectrum(fp))
     want = alpha * np.array(a1) + beta * np.array(a2)
     assert np.abs(got.as_array() - want).max() <= 1e-12
+
+
+P = (1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0)
+AMPS = {"a_minus1": 0.1, "a_plus1": 0.2, "a_zero": 0.3}
+
+#: Every public scalar input: (entry point, its other arguments, the scalar's
+#: keyword).  propagate_numeric gets t = 0, so a tiny step costs no integration.
+SCALAR_INPUTS = (
+    [(RateParams, {}, name) for name in ("k_s", "k_i")]
+    + [(propagator, {}, "t"), (propagate, {"p": P}, "t"),
+       (propagate_numeric, {"p": P, "t": 0.0}, "step"),
+       (seg1_reference_solution, {}, "t"), (seg2_reference_solution, {}, "t")]
+    + [(HamiltonianParams, {}, name) for name in
+       ("d_zfs", "gamma_e", "gamma_n", "quadrupole", "hyperfine", "b_field")]
+    + [(Laser, {}, "duration"), (MwPi, {"pair": MW_PAIRS[0]}, "swap_fidelity"),
+       (initial_state, {}, "init_laser"),
+       (optimize_laser, {"p_post_swaps": P}, "t_max"),
+       (optimize_schedule, {"p0": P, "n_cycles": 1}, "t_max"),
+       (optimize_schedule, {"p0": P}, "n_cycles"),
+       (OptimizerSettings, {}, "t_max"), (OptimizerSettings, {}, "n_cycles"),
+       (CycleOverrides, {}, "t1"), (CycleOverrides, {}, "t2"),
+       (run_cycle, {"p": P}, "cycle")]
+    + [(SpectralAmplitudes, AMPS, name) for name in AMPS]
+    + [(FidParams, {}, name) for name in
+       ("detuning", "hyperfine_split", "t2star", "dt", "n_samples")]
+    + [(Spectrum, {"freqs_mhz": np.zeros(2), "values": np.zeros(2)}, "fid_length")])
+
+scalars = st.one_of(st.floats(), st.integers(), st.booleans(), st.text(), st.none())
+
+
+@pytest.mark.parametrize("entry, others, key", SCALAR_INPUTS,
+                         ids=[f"{entry.__name__}.{key}" for entry, _, key in SCALAR_INPUTS])
+@DERANDOMIZED
+@given(scalars)
+def test_scalar_is_accepted_or_refused_in_one_line(entry, others, key, x):
+    try:
+        entry(**{**others, key: x})
+    except ValueError as exc:
+        assert "\n" not in str(exc)

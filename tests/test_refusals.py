@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 from nvinit.cli import main
-from nvinit.config import ConfigError, parse_config, parse_sequence
-from nvinit.hamiltonian import HamiltonianParams
-from nvinit.spinmodel import RateParams
+from nvinit.config import ConfigError, OptimizerSettings, parse_config, parse_sequence
+from nvinit.hamiltonian import HamiltonianParams, energy
+from nvinit.optimizer import CycleOverrides, optimize_laser, optimize_schedule, run_cycle
+from nvinit.pulses import MW_PAIRS, RF_PAIRS, Laser, MwPi, RfPi, initial_state
+from nvinit.spinmodel import (RateParams, propagate, propagate_numeric, propagator,
+                              seg1_reference_solution, seg2_reference_solution)
 from nvinit.tomography import (FidParams, SpectralAmplitudes, Spectrum,
                                calibration_spectrum, extract_amplitudes, spectrum,
                                synthesize_fid)
@@ -33,7 +36,7 @@ def test_cli_state_with_a_non_numeric_part(tmp_path, capsys):
     ("optimizer: {objective: 3}\n", "optimizer.objective must be a string"),
     ("optimizer:\n  cycle1: {seg2_start: 0.5}\n",
      "optimizer.cycle1.seg2_start must be a list of 6 numbers"),
-    ("rates: {k_i_per_us: -1}\n", "rates.k_i_per_us must be nonnegative, got -1"),
+    ("rates: {k_i_per_us: -1}\n", "rates.k_i_per_us must be nonnegative, got -1.0"),
 ])
 def test_config_value_refused(text, message):
     with refused(ConfigError, message):
@@ -107,3 +110,59 @@ AMPS = {"a_minus1": 0.1, "a_plus1": 0.2, "a_zero": 0.3}
 def test_parameter_record_field_that_is_not_a_finite_real(record, kwargs, message):
     with refused(ValueError, message):
         record(**kwargs)
+
+
+P = (1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("entry, kwargs, message", [
+    # One row per public scalar input, each checked by the one scalar rule.
+    # The string, bool and array rows used to raise a TypeError, numpy's
+    # "truth value is ambiguous", or nothing at all.
+    (RateParams, {"k_s": True}, "k_s must be a real number, got True"),
+    (RateParams, {"k_s": 0}, "k_s must be positive, got 0"),
+    (propagator, {"t": "1"}, "duration must be a real number, got '1'"),
+    (propagate, {"p": P, "t": "1"}, "duration must be a real number, got '1'"),
+    (propagate_numeric, {"p": P, "t": -1}, "duration must be nonnegative, got -1"),
+    (propagate_numeric, {"p": P, "t": 1.0, "step": 0.1},
+     "step must be in (0, 0.01], got 0.1"),
+    (seg1_reference_solution, {"t": float("nan")}, "duration must be finite, got nan"),
+    (seg2_reference_solution, {"t": -0.5}, "duration must be nonnegative, got -0.5"),
+    (HamiltonianParams, {"d_zfs": 0.0}, "d_zfs must be positive, got 0.0"),
+    (HamiltonianParams, {"hyperfine": True}, "hyperfine must be a real number, got True"),
+    (HamiltonianParams, {"b_field": -1}, "b_field must be nonnegative, got -1"),
+    (energy, {"level": [0, -1]}, "unknown level [0, -1]"),
+    (Laser, {"duration": "1"}, "laser duration must be a real number, got '1'"),
+    (Laser, {"duration": True}, "laser duration must be a real number, got True"),
+    (MwPi, {"pair": MW_PAIRS[0], "swap_fidelity": "1"},
+     "swap_fidelity must be a real number, got '1'"),
+    (RfPi, {"pair": RF_PAIRS[0], "swap_fidelity": 1.5},
+     "swap_fidelity must be in [0, 1], got 1.5"),
+    (MwPi, {"pair": [[0, -1], [-1, -1]]},
+     "invalid transition pair for MW pulse: [[0, -1], [-1, -1]]"),
+    (initial_state, {"init_laser": "5"}, "init_laser must be a real number, got '5'"),
+    (optimize_laser, {"p_post_swaps": P, "t_max": "3"},
+     "t_max must be a real number, got '3'"),
+    (optimize_schedule, {"p0": P, "t_max": 0}, "t_max must be positive, got 0"),
+    (optimize_schedule, {"p0": P, "n_cycles": 21}, "n_cycles must be in [1, 20], got 21"),
+    (OptimizerSettings, {"t_max": "3"}, "t_max must be a real number, got '3'"),
+    (CycleOverrides, {"t1": "0.5"}, "t1 override must be a real number, got '0.5'"),
+    (CycleOverrides, {"t2": np.array([1.0, 2.0])},
+     "t2 override must be a real number, got array([1., 2.])"),
+    (run_cycle, {"p": P, "cycle": "x"}, "cycle must be an integer, got 'x'"),
+    (run_cycle, {"p": P, "cycle": 0}, "cycle must be at least 1, got 0"),
+    (SpectralAmplitudes, {**AMPS, "a_zero": True}, "a_zero must be a real number, got True"),
+    (FidParams, {"t2star": 0}, "t2star must be positive, got 0"),
+    (FidParams, {"n_samples": 255}, "n_samples must be at least 256, got 255"),
+    pytest.param(FidParams, {"n_samples": 10 ** 400},
+                 f"n_samples must be finite, got {10 ** 400}", id="beyond-float-range"),
+    (Spectrum, {"freqs_mhz": [1, 2], "values": [1, 2], "fid_length": 2},
+     "freqs_mhz must be a numpy array, got list"),
+    (Spectrum, {"freqs_mhz": np.zeros(2), "values": np.zeros(2), "fid_length": 2.0},
+     "fid_length must be an integer, got 2.0"),
+    (parse_config, {"text": "rates: {inv_k_i_us: 0}\n"},
+     "rates.inv_k_i_us must be positive, got 0.0"),
+])
+def test_scalar_refused_in_one_line(entry, kwargs, message):
+    with refused(ValueError, message):
+        entry(**kwargs)
