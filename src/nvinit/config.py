@@ -155,9 +155,9 @@ def _rate(section: dict, direct: str, inverse: str, path: str,
     try:
         value = _check_number(key, _number(section[name], key), 0,
                               strict=name == inverse or not allow_zero)
+        return _check_number(f"1 / {key}", 1.0 / value) if name == inverse else value
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return 1.0 / value if name == inverse else value
 
 
 def _parse_rates(node, path: str) -> RateParams:

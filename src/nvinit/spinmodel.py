@@ -7,7 +7,9 @@ m_I in {-1, +1, 0}.  Canonical index order of the population vector:
 
 During laser illumination the electron repolarizes (-1 -> 0) at rate k_s
 while the nuclear spin hops between the m_I levels of the m_s=0 manifold
-at rate k_i.  All times are in microseconds, rates in 1/us.
+at rate k_i.  All times are in microseconds, rates in 1/us.  Under the
+laser exp(M t) is four constant matrices, _MODES, against four weights
+of t (see propagator), each declared once.
 
 _check_number, defined here, is the package's one rule for a public
 scalar input (a rate, a duration, a count, a record field): a finite real
@@ -54,11 +56,17 @@ _DEGENERACY_EPS = 1e-6
 _SUM_TOL = 1e-9
 _NEG_CLAMP = 1e-12
 
-# 3x3 blocks of the propagator: the m_I-uniform projector, the identity
-# and their difference (the decaying nuclear modes).
-_THIRD = np.full((3, 3), 1.0 / 3.0)
-_EYE3 = np.eye(3)
-_EYE3_MINUS_THIRD = _EYE3 - _THIRD
+
+def _eigenmodes() -> np.ndarray:
+    """P0, P3, Ps and Pc of propagator, as one read-only (4, 6, 6) array."""
+    t, i, o = np.full((3, 3), 1.0 / 3.0), np.eye(3), np.zeros((3, 3))
+    modes = np.array([np.block(m) for m in ([[t, t], [o, o]], [[i - t, o], [o, o]],
+                                            [[o, -t], [o, i]], [[o, i - t], [o, o]])])
+    modes.setflags(write=False)
+    return modes
+
+
+_MODES = _eigenmodes()
 
 
 def _check_number(name: str, value, low: float = -math.inf, high: float = math.inf,
@@ -171,12 +179,14 @@ def rate_matrix(rates: RateParams = RateParams()) -> np.ndarray:
 def propagator(t: float, rates: RateParams = RateParams()) -> np.ndarray:
     """Propagator exp(M t) of the rate equation.
 
-    Built from the known eigenstructure of M (eigenvalues 0, -3*k_i twice
-    and -k_s three times), one closed form for every pair of rates.  The
-    m_s=-1 feed into the nuclear modes, k_s (e^{-k_s t} - e^{-3k_i t}) /
-    (3k_i - k_s), is evaluated as k_s e^{-min(k_s, 3k_i) t} phi_1 with
-    phi_1 = -expm1(-g t)/g, g = |3k_i - k_s| (t at g = 0), which neither
-    cancels near 3k_i = k_s nor overflows at long t.
+    M has eigenvalues 0, -3*k_i twice and -k_s three times, so for every
+    pair of rates exp(M t) = P0 + e^{-3k_i t} P3 + e^{-k_s t} Ps + phi Pc,
+    the four constant matrices of _MODES: the m_I-uniform steady state,
+    the nuclear modes, the m_s=-1 decay and its feed into the nuclear
+    modes.  phi = k_s (e^{-k_s t} - e^{-3k_i t}) / (3k_i - k_s) is
+    evaluated as k_s e^{-min(k_s, 3k_i) t} phi_1 with phi_1 =
+    -expm1(-g t)/g, g = |3k_i - k_s| (t at g = 0), which neither cancels
+    near 3k_i = k_s nor overflows at long t.
 
     Parameters
     ----------
@@ -188,43 +198,39 @@ def propagator(t: float, rates: RateParams = RateParams()) -> np.ndarray:
     Returns
     -------
     numpy.ndarray, shape (6, 6)
-        Columns are probability vectors (sum to 1).
+        Columns are probability vectors (sum to 1); the identity at t = 0.
     """
     return _closed_form(_check_number("duration", t, 0), rates)
 
 
-def _closed_form(t: float, rates: RateParams) -> np.ndarray:
-    """propagator on an already checked duration; it is not checked again."""
-    u = np.zeros((6, 6))
+def _mode_weights(t: float, rates: RateParams) -> np.ndarray:
+    """The weights (1, e^{-3k_i t}, e^{-k_s t}, phi) of the four _MODES at t."""
     ks, ki = rates.k_s, rates.k_i
     e3 = math.exp(-3.0 * ki * t)
     es = math.exp(-ks * t)
     g = abs(3.0 * ki - ks)
     phi1 = -math.expm1(-g * t) / g if g > 0.0 else t
     # max(es, e3) is e^{-min(k_s, 3 k_i) t}: the slower of the two decays.
-    phi = ks * max(es, e3) * phi1
-    u[:3, :3] = _THIRD + e3 * _EYE3_MINUS_THIRD
-    u[:3, 3:] = (1.0 - es) * _THIRD + phi * _EYE3_MINUS_THIRD
-    u[3:, 3:] = es * _EYE3
-    return u
+    return np.array([1.0, e3, es, ks * max(es, e3) * phi1])
+
+
+def _closed_form(t: float, rates: RateParams) -> np.ndarray:
+    """propagator on an already checked duration; it is not checked again."""
+    return (_mode_weights(t, rates) @ _MODES.reshape(4, 36)).reshape(6, 6)
 
 
 def _line_coefficients(w: np.ndarray, p: np.ndarray, rates: RateParams) -> tuple:
     """Eigenmode coefficients of f(t) = w . propagator(t, rates) @ p.
 
     f(t) = c0 + e^{-m t} [A + B e^{-g t} + C phi_1(t)] with
-    m = min(k_s, 3k_i), g = |3k_i - k_s| and phi_1 as in propagator.
-    Returns (c0, A, B, C, m, g) as floats.
+    m = min(k_s, 3k_i), g = |3k_i - k_s| and phi_1 as in propagator:
+    c0 = w P0 p, C = k_s w Pc p, and A, B are w P3 p and w Ps p, the
+    slower decay first.  Returns (c0, A, B, C, m, g) as floats.
     """
     ks, ki = rates.k_s, rates.k_i
-    u_mean = w[:3].mean()
-    u_mode = w[:3] - u_mean             # weight on the decaying nuclear modes
-    c0 = u_mean * p.sum()
-    nuclear = u_mode @ p[:3]            # amplitude of e^{-3 k_i t}
-    electron = w[3:] @ p[3:] - u_mean * p[3:].sum()   # amplitude of e^{-k_s t}
-    c = ks * (u_mode @ p[3:])
+    c0, nuclear, electron, feed = _MODES @ p @ w
     a, b = (nuclear, electron) if 3.0 * ki <= ks else (electron, nuclear)
-    return (float(c0), float(a), float(b), float(c),
+    return (float(c0), float(a), float(b), float(ks * feed),
             min(ks, 3.0 * ki), abs(3.0 * ki - ks))
 
 
@@ -261,10 +267,13 @@ def propagate_numeric(p, t: float, rates: RateParams = RateParams(),
     rates : RateParams
         Pumping rates.
     step : float
-        Maximum step size in us; must satisfy 0 < step <= 1e-2.
+        Maximum step size in us, in (0, 1e-2] and at least t / 1e7.
     """
     _check_number("step", step, 0, 1e-2, strict=True)
     _check_number("duration", t, 0)
+    if t / step > 1e7:
+        raise ValueError(f"step must be at least {t / 1e7:g} for duration {t:g} "
+                         f"(at most 1e7 steps), got {step}")
     vec = validate_population(p)
     if t == 0.0:
         return vec.copy()
@@ -294,8 +303,7 @@ def _exp_pair(t: float, rates: RateParams) -> tuple[float, float, float]:
         raise ValueError(
             "reference solution is singular at 3*k_i = k_s; "
             "use propagate instead")
-    es = np.exp(-rates.k_s * t)
-    e3 = np.exp(-3.0 * rates.k_i * t)
+    _, e3, es, _ = _mode_weights(t, rates)
     return es, e3, 3.0 * rates.k_i - rates.k_s
 
 

@@ -55,9 +55,6 @@ _MI_ORDER = (-1, +1, 0)
 #: Distinct FidParams each cache keeps, least recently used dropped first.
 _CACHE_SIZE = 4
 
-#: Bins swapped at a time when spectrum centers zero frequency (64 kB).
-_SWAP_BLOCK = 4096
-
 
 @dataclass(frozen=True)
 class SpectralAmplitudes:
@@ -194,9 +191,9 @@ def spectrum(fid: np.ndarray, fp: FidParams = FidParams()) -> Spectrum:
     """Zero-padded discrete Fourier transform of an FID.
 
     Unnormalized forward transform (numpy convention), so Parseval reads
-    sum |time|^2 = mean |spectrum|^2 over the padded length.  The grid
-    is shifted to run from negative to positive frequencies; it is
-    shared between spectra of equal FidParams and read-only.
+    sum |time|^2 = mean |spectrum|^2 over the padded length.  The values
+    and the grid run from negative to positive frequencies (fftshift); the
+    grid is shared between spectra of equal FidParams and read-only.
     """
     fid = np.asarray(fid, dtype=complex)
     if fid.ndim != 1 or len(fid) > fp.padded_length:
@@ -204,15 +201,9 @@ def spectrum(fid: np.ndarray, fp: FidParams = FidParams()) -> Spectrum:
     if not np.isfinite(fid).all():
         raise ValueError("FID must be finite")
     values = np.fft.fft(fid, n=fp.padded_length)
-    # fftshift of an even length swaps the two halves.  Swapping in place,
-    # one block at a time, keeps the scratch copy to one block instead of a
-    # second full-length array.
+    # fftshift of an even length swaps the halves; in place it skips a copy.
     half = fp.padded_length // 2
-    for lo in range(0, half, _SWAP_BLOCK):
-        hi = min(lo + _SWAP_BLOCK, half)
-        low = values[lo:hi].copy()
-        values[lo:hi] = values[half + lo:half + hi]
-        values[half + lo:half + hi] = low
+    values[:half], values[half:] = values[half:], values[:half].copy()
     return Spectrum(freqs_mhz=_grid(fp), values=values, fid_length=len(fid))
 
 

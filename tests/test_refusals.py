@@ -37,6 +37,9 @@ def test_cli_state_with_a_non_numeric_part(tmp_path, capsys):
     ("optimizer:\n  cycle1: {seg2_start: 0.5}\n",
      "optimizer.cycle1.seg2_start must be a list of 6 numbers"),
     ("rates: {k_i_per_us: -1}\n", "rates.k_i_per_us must be nonnegative, got -1.0"),
+    # These used to raise a bare "k_s must be finite, got inf" naming no key.
+    ("rates: {inv_k_s_us: 1.0e-320}\n", "1 / rates.inv_k_s_us must be finite, got inf"),
+    ("rates: {inv_k_i_us: 1.0e-320}\n", "1 / rates.inv_k_i_us must be finite, got inf"),
 ])
 def test_config_value_refused(text, message):
     with refused(ConfigError, message):
@@ -126,6 +129,9 @@ P = (1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0)
     (propagate_numeric, {"p": P, "t": -1}, "duration must be nonnegative, got -1"),
     (propagate_numeric, {"p": P, "t": 1.0, "step": 0.1},
      "step must be in (0, 0.01], got 0.1"),
+    # This used to raise an OverflowError forming ceil(t / step).
+    (propagate_numeric, {"p": P, "t": 0.01, "step": 5e-324},
+     "step must be at least 1e-09 for duration 0.01 (at most 1e7 steps), got 5e-324"),
     (seg1_reference_solution, {"t": float("nan")}, "duration must be finite, got nan"),
     (seg2_reference_solution, {"t": -0.5}, "duration must be nonnegative, got -0.5"),
     (HamiltonianParams, {"d_zfs": 0.0}, "d_zfs must be positive, got 0.0"),

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nvinit.spinmodel import (RateParams, _line_coefficients, propagate,
-                              propagate_numeric, propagator, rate_matrix,
+from nvinit.spinmodel import (_MODES, RateParams, _line_coefficients, _mode_weights,
+                              propagate, propagate_numeric, propagator, rate_matrix,
                               seg1_reference_solution, seg2_reference_solution,
                               steady_state, validate_population)
 
@@ -144,6 +144,43 @@ class TestSingleClosedForm:
         for t in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="must be finite"):
                 propagate(SEG1_START, t)
+
+
+class TestModes:
+    # exp(M t) = _mode_weights(t) . _MODES, so the weights' slope at t = 0
+    # applied to the modes is M, which rate_matrix writes out on its own.
+    EDGES = (RateParams(), RateParams(k_s=0.75, k_i=0.25), RateParams(k_i=0.0))
+
+    def rates(self):
+        rng = np.random.default_rng(13)
+        drawn = [RateParams(k_s=rng.uniform(0.5, 5.0), k_i=rng.uniform(0.0, 1.0))
+                 for _ in range(200)]
+        return drawn + list(self.EDGES)
+
+    def test_generator_is_the_slope_of_the_weights_at_zero(self):
+        assert 3.0 * self.EDGES[1].k_i == self.EDGES[1].k_s
+        for rates in self.rates():
+            ks, ki = rates.k_s, rates.k_i
+            slope = np.array([0.0, -3.0 * ki, -ks, ks])
+            # second-order one-sided difference: the weights hold for t >= 0
+            h = 1e-6
+            ahead = (4.0 * _mode_weights(h, rates) - _mode_weights(2.0 * h, rates)
+                     - 3.0 * _mode_weights(0.0, rates)) / (2.0 * h)
+            assert np.abs(ahead - slope).max() <= 1e-9
+            assert np.abs(slope @ _MODES.reshape(4, 36)
+                          - rate_matrix(rates).ravel()).max() <= 1e-15
+
+    def test_stationary_modes_sum_to_the_identity(self):
+        p0, p3, ps, _ = _MODES
+        assert np.array_equal(p0 + p3 + ps, np.eye(6))
+
+    def test_zero_duration_is_exactly_the_identity(self):
+        for rates in self.rates():
+            assert np.array_equal(propagator(0.0, rates), np.eye(6))
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            _MODES[0, 0, 0] = 1.0
 
 
 class TestLineCoefficients:

@@ -342,7 +342,7 @@ def bit_equal(a, b):
 
 CACHES = (tomography._line_basis, tomography._grid, tomography._calibration,
           tomography._unmixing)
-# 3000 samples: half the padded length is not a whole number of swap blocks.
+# 3000 samples: a padded length (12000) that is not a power of two.
 OTHER = FidParams(detuning=-3.1, hyperfine_split=1.7, t2star=0.8, dt=0.05, n_samples=3000)
 FORMULA_PARAMS = [FidParams(n_samples=n) for n in (256, 2048, 4096, 16384)] + [OTHER]
 
