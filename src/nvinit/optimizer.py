@@ -12,9 +12,9 @@ one fold over a list of laser passes, ordered by the strategy:
 Both objectives are linear functionals w . p of the state, so along a
 laser pulse each is a constant plus three exponential modes with at most
 one stationary point, found in closed form: the optimum over a duration
-interval is at an end or at that point.  The public functions check
-their inputs once; the fold runs every pulse through apply_pulse's
-unchecked step.  All optimization is deterministic: identical inputs
+interval is at an end or at that point.  The line search only chooses;
+the fold alone runs each pulse once, through apply_pulse's unchecked
+step.  Public functions check their inputs once, and identical inputs
 give bit-identical schedules.
 """
 
@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .pulses import _step, seg1, seg2
-from .spinmodel import (RateParams, _check_number, _line_coefficients, _propagate,
-                        validate_population)
+from .spinmodel import (_MODES, RateParams, _check_number, _line_coefficients,
+                        _mode_weights, _propagate, validate_population)
 
 __all__ = [
     "P00",
@@ -145,24 +145,25 @@ def optimize_laser(p_post_swaps, rates: RateParams = RateParams(),
     + C phi_1(t)] (see spinmodel.propagator), and f'(t) = 0 has at most
     one root: e^{-g t} = 1 + g K / D with K = m A - C + (m + g) B and
     D = g (C - (m + g) B) + m C, whose g -> 0 limit t = -K / D holds at
-    g = 0.  The candidates are 0, that root when it lies in (0, t_max),
-    and t_max, each scored on the propagated state; value ties within
-    1e-6 resolve toward the smallest duration (so an already-pumped state
-    yields t* = 0).  An unknown objective is refused before anything is
-    propagated.
+    g = 0.  The candidates 0, that root when in (0, t_max) and t_max are
+    scored on that expansion, ties within 1e-6 going to the shortest (an
+    already-pumped state yields t* = 0); only the winner is propagated.
+    An unknown objective is refused before anything is propagated.
 
     Returns
     -------
     (float, float)
         Optimal duration t_star in us and the objective value there.
     """
-    w = _check_rules(objective, t_max)
-    return _line_search(w, validate_population(p_post_swaps), rates, t_max)[:2]
+    w, p = _check_rules(objective, t_max), validate_population(p_post_swaps)
+    t = _line_search(w, p, rates, t_max)
+    return t, float(w @ _propagate(p, t, rates))
 
 
-def _line_search(w: np.ndarray, p0: np.ndarray, rates: RateParams, t_max: float) -> tuple:
-    """optimize_laser on a checked state and weight: (t_star, value, end state)."""
-    _, a, b, c, m, g = _line_coefficients(w, p0, rates)
+def _line_search(w: np.ndarray, p: np.ndarray, rates: RateParams, t_max: float) -> float:
+    """optimize_laser's duration on a checked state and weight; propagates nothing."""
+    modes = _MODES @ p @ w
+    _, a, b, c, m, g = _line_coefficients(modes, rates)
     k = m * a - c + (m + g) * b
     d = g * (c - (m + g) * b) + m * c
     durations = [float(t_max)]
@@ -170,13 +171,11 @@ def _line_search(w: np.ndarray, p0: np.ndarray, rates: RateParams, t_max: float)
         t_root = -math.log1p(g * k / d) / g if g > 0.0 else -k / d
         if 0.0 < t_root < t_max:
             durations.insert(0, t_root)
-    # propagator(0) is exactly the identity, so t = 0 scores p0 itself.
-    scored = [(0.0, float(w @ p0), p0)]
-    for t in durations:
-        state = _propagate(p0, t, rates)
-        scored.append((t, float(w @ state), state))
-    top = max(value for _, value, _ in scored)
-    return next(s for s in scored if s[1] >= top - _TIE_TOL)
+    # propagator(0) is exactly the identity, so t = 0 scores p itself.
+    scored = [(0.0, float(w @ p))]
+    scored += [(t, float(_mode_weights(t, rates) @ modes)) for t in durations]
+    top = max(value for _, value in scored)
+    return next(t for t, value in scored if value >= top - _TIE_TOL)
 
 
 def _coerce_overrides(overrides) -> CycleOverrides:
@@ -192,8 +191,8 @@ def _fold(state: np.ndarray, passes, rates: RateParams, w: np.ndarray, t_max: fl
 
     A pass is (segment builder, pinned duration or None, start state or
     None).  A start state replaces the incoming one, the segment's swaps
-    run, and its laser runs for the pinned duration or the one the line
-    search on w picks, all through the pulse step of pulses.apply_pulse.
+    run, and its laser runs once, for the pinned duration or the line
+    search's pick on w, through the pulse step of pulses.apply_pulse.
     The callers have checked every input, so nothing here is checked again.
     """
     done = {seg1: [], seg2: []}
@@ -202,10 +201,8 @@ def _fold(state: np.ndarray, passes, rates: RateParams, w: np.ndarray, t_max: fl
             state = np.asarray(start, dtype=float)
         for pulse in _SWAPS[builder]:
             state = _step(state, pulse, rates)
-        if t_pinned is None:
-            t, _, state = _line_search(w, state, rates, t_max)
-        else:
-            t, state = t_pinned, _propagate(state, t_pinned, rates)
+        t = t_pinned if t_pinned is not None else _line_search(w, state, rates, t_max)
+        state = _propagate(state, t, rates)
         done[builder].append((t, float(state[2]), state))
     return tuple(
         CycleResult(cycle=i, t1=t1, purity_after_seg1=purity1,

@@ -54,7 +54,6 @@ NUCLEAR_MIRROR = (1, 0, 2, 4, 3, 5)
 _DEGENERACY_EPS = 1e-6
 
 _SUM_TOL = 1e-9
-_NEG_CLAMP = 1e-12
 
 
 def _eigenmodes() -> np.ndarray:
@@ -147,9 +146,9 @@ def validate_population(p) -> np.ndarray:
 
 
 def _clamp_dust(p: np.ndarray) -> np.ndarray:
-    """Zero out tiny negative float dust; larger negatives are a bug."""
+    """Zero out negative dust down to validate_population's -1e-9; below is a bug."""
     low = p.min()
-    if low < -_NEG_CLAMP:
+    if low < -_SUM_TOL:
         raise ValueError(f"propagation produced a negative population {low!r}")
     return np.where(p < 0.0, 0.0, p)
 
@@ -219,16 +218,16 @@ def _closed_form(t: float, rates: RateParams) -> np.ndarray:
     return (_mode_weights(t, rates) @ _MODES.reshape(4, 36)).reshape(6, 6)
 
 
-def _line_coefficients(w: np.ndarray, p: np.ndarray, rates: RateParams) -> tuple:
-    """Eigenmode coefficients of f(t) = w . propagator(t, rates) @ p.
+def _line_coefficients(modes: np.ndarray, rates: RateParams) -> tuple:
+    """Coefficients of f(t) = w . propagator(t) @ p, given modes = _MODES @ p @ w.
 
-    f(t) = c0 + e^{-m t} [A + B e^{-g t} + C phi_1(t)] with
-    m = min(k_s, 3k_i), g = |3k_i - k_s| and phi_1 as in propagator:
+    f(t) = _mode_weights(t) @ modes = c0 + e^{-m t} [A + B e^{-g t} + C phi_1(t)]
+    with m = min(k_s, 3k_i), g = |3k_i - k_s| and phi_1 as in propagator:
     c0 = w P0 p, C = k_s w Pc p, and A, B are w P3 p and w Ps p, the
     slower decay first.  Returns (c0, A, B, C, m, g) as floats.
     """
     ks, ki = rates.k_s, rates.k_i
-    c0, nuclear, electron, feed = _MODES @ p @ w
+    c0, nuclear, electron, feed = modes
     a, b = (nuclear, electron) if 3.0 * ki <= ks else (electron, nuclear)
     return (float(c0), float(a), float(b), float(ks * feed),
             min(ks, 3.0 * ki), abs(3.0 * ki - ks))
@@ -242,8 +241,8 @@ def _propagate(vec: np.ndarray, t: float, rates: RateParams) -> np.ndarray:
 def propagate(p, t: float, rates: RateParams = RateParams()) -> np.ndarray:
     """Evolve a population vector for time t under laser illumination.
 
-    Equivalent to propagator(t, rates) @ p with simplex cleanup: float
-    dust in [-1e-12, 0) is clamped to zero.
+    Equivalent to propagator(t, rates) @ p with simplex cleanup: dust in
+    [-1e-9, 0), the tolerance validate_population accepts, is clamped to zero.
     """
     return _propagate(validate_population(p), _check_number("duration", t, 0), rates)
 

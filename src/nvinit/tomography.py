@@ -15,11 +15,11 @@ unambiguous.  With the default decay constant (2 us) the Lorentzian
 linewidth is about 0.08 MHz against a 2.16 MHz line spacing, so every
 line leaks a few percent of its height into the bins of its neighbors.
 The spectrum is linear in the three amplitudes and the line frequencies
-are known, so extraction solves the 3x3 system of unit-line templates
-sampled at the three line bins (variable projection with known
-frequencies, Golub & Pereyra 1973).  This removes the leakage and keeps
-the sign: a noise-free FID round-trips to rounding error, for negative
-amplitudes too.
+are known, so extraction solves the 3x3 system of unit-line templates,
+the spectra of unit lines, sampled at the three line bins (variable
+projection with known frequencies, Golub & Pereyra 1973).  This removes
+the leakage and keeps the sign: a noise-free FID round-trips to rounding
+error, for negative amplitudes too.
 
 Everything that depends on the FidParams alone (the shifted frequency
 grid, the three unit-line phasors with the decay envelope, the
@@ -241,6 +241,7 @@ def _check_grid(spec: Spectrum, fp: FidParams, name: str) -> None:
 def _unmixing(fp: FidParams) -> tuple[np.ndarray, np.ndarray, complex]:
     """Line bins, adjugate and determinant of the 3x3 unit-line templates.
 
+    Template column m is spectrum(line_m * decay, fp) at the line bins.
     Read-only; 184 bytes of arrays per entry, whatever the sample count.
     Refuses a line outside the grid and two lines in one bin.
     """
@@ -253,12 +254,8 @@ def _unmixing(fp: FidParams) -> tuple[np.ndarray, np.ndarray, complex]:
     if len(set(bins.tolist())) < len(bins):
         raise ValueError("two lines share a spectral bin; their amplitudes "
                          "cannot be separated (hyperfine_split too small)")
-    # T[b, m] is the DFT at bin b of a unit line m: sum_k z^k = (1 - z^N)/(1 - z)
-    # with z = exp(dt (2 pi i (f_m - f_b) - 1/t2star)); expm1 keeps both
-    # numerator and denominator accurate when z is close to 1.
-    w = fp.dt * (2j * np.pi * (lines[np.newaxis, :] - freqs[bins][:, np.newaxis])
-                 - 1.0 / fp.t2star)
-    cols = (np.expm1(fp.n_samples * w) / np.expm1(w)).T
+    phasors, decay = _line_basis(fp)
+    cols = np.array([spectrum(line * decay, fp).values[bins] for line in phasors])
     # Cramer's rule: row m of the inverse is the cross product of the other
     # two template columns over the determinant (cond(T) is 1.1 at the default
     # 2.16 MHz spacing).  Elementwise sums keep BLAS and LAPACK, and the
@@ -273,9 +270,9 @@ def extract_amplitudes(spec: Spectrum, fp: FidParams,
 
     The spectrum of an FID synthesized with fp is linear in the three
     amplitudes.  The bin nearest each line frequency is taken, the 3x3
-    complex matrix T[b, m] holds the closed-form DFT of a unit line m at
-    bin b, and T a = spectrum[b] is solved, once per FidParams; the real
-    parts are returned.  A noise-free spectrum is recovered to rounding
+    complex matrix T[b, m] holds the spectrum of a unit line m at bin b,
+    and T a = spectrum[b] is solved, once per FidParams; the real parts
+    are returned.  A noise-free spectrum is recovered to rounding
     error, whatever the signs of the amplitudes.
 
     calibration is the reference spectrum (calibration_spectrum(fp)).

@@ -6,7 +6,7 @@ from nvinit.optimizer import (A0, BLOCKED, INTERLEAVED, P00,
                               REFERENCE_CYCLE1_OVERRIDES, CycleOverrides,
                               objective_value, optimize_laser, optimize_schedule,
                               run_cycle)
-from nvinit.pulses import initial_state, run_sequence, seg1, seg2
+from nvinit.pulses import Laser, apply_pulse, initial_state, run_sequence, seg1, seg2
 from nvinit.spinmodel import RateParams, propagate, propagator, steady_state
 
 PUBLISHED = np.array([0.07, 0.33, 0.55, 0.0, 0.0, 0.05])
@@ -271,6 +271,85 @@ class TestFoldMatchesPublicPath:
             assert row.purity_after_seg1 == end1[2]
             assert row.purity_after_seg2 == end2[2]
             assert np.array_equal(row.end_state, end2)
+
+
+class TestOnePropagationPerPass:
+    """The line search only chooses; the fold and optimize_laser propagate once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, laser_step = [], optimizer._propagate
+
+        def counted(vec, t, rates):
+            calls.append(t)
+            return laser_step(vec, t, rates)
+
+        monkeypatch.setattr(optimizer, "_propagate", counted)
+        return calls
+
+    @pytest.mark.parametrize("strategy", [INTERLEAVED, BLOCKED])
+    @pytest.mark.parametrize("overrides", [None, REFERENCE_CYCLE1_OVERRIDES])
+    @pytest.mark.parametrize("n_cycles", [1, 3])
+    def test_schedule_propagates_each_pass_once(self, calls, strategy, overrides, n_cycles):
+        s = optimize_schedule(initial_state(), n_cycles=n_cycles, strategy=strategy,
+                              cycle1_overrides=overrides)
+        assert len(calls) == 2 * n_cycles
+        assert sorted(calls) == sorted(t for row in s.cycles for t in (row.t1, row.t2))
+
+    def test_optimize_laser_propagates_once(self, calls):
+        # an interior optimum: the root and t_max are both candidates
+        t, _ = optimize_laser(SEG2_POST_SWAP)
+        assert 0.0 < t < 10.0
+        assert calls == [t]
+
+
+class TestValidatedDust:
+    """validate_population accepts entries down to -1e-9, and so does every laser step."""
+
+    @staticmethod
+    def dusty(dust):
+        # in |-1,-1>, which a short laser leaves negative
+        return np.array([0.25, 0.25, 0.0, dust, 0.25, 0.25 - dust])
+
+    @staticmethod
+    def dusty_before_swaps(dust):
+        # in |0,-1>, which the seg1 swaps move into m_s = -1
+        return np.array([dust, 0.25, 0.25, 0.25, 0.25, -dust])
+
+    @pytest.mark.parametrize("dust", [-5e-10, -1e-9])
+    @pytest.mark.parametrize("t", [0.0, 1e-6])
+    def test_laser_steps_clamp_it(self, dust, t):
+        p = self.dusty(dust)
+        want = np.where(p < 0.0, 0.0, p)
+        for got in (propagate(p, t), apply_pulse(p, Laser(t)),
+                    run_sequence(p, [Laser(t)])[0]):
+            assert got.min() >= 0.0
+            assert np.abs(got - want).max() <= 1e-5
+
+    @pytest.mark.parametrize("dust", [-5e-10, -1e-9])
+    @pytest.mark.parametrize("t_max, want", [(1e-10, 0.0), (1e-5, 1e-5)])
+    def test_optimize_laser_accepts_it(self, dust, t_max, want):
+        # t_max = 1e-10 ties with t = 0 within 1e-6; 1e-5 gains about 9e-6
+        t, v = optimize_laser(self.dusty(dust), t_max=t_max)
+        assert t == want
+        assert v == propagate(self.dusty(dust), t)[2]
+
+    @pytest.mark.parametrize("dust", [-5e-10, -1e-9])
+    @pytest.mark.parametrize("t1", [None, 0.0, 1e-6])
+    def test_optimize_schedule_accepts_it(self, dust, t1):
+        s = optimize_schedule(self.dusty_before_swaps(dust), n_cycles=2,
+                              cycle1_overrides=CycleOverrides(t1=t1))
+        if t1 is not None:
+            assert s.cycles[0].t1 == t1
+        assert all(row.end_state.min() >= 0.0 for row in s.cycles)
+
+    @pytest.mark.parametrize("dust", [-5e-10, -1e-9])
+    @pytest.mark.parametrize("t2", [0.0, 1e-6])
+    def test_seg2_start_accepts_it(self, dust, t2):
+        overrides = CycleOverrides(t2=t2, seg2_start=self.dusty(dust))
+        s = optimize_schedule(initial_state(), n_cycles=2, cycle1_overrides=overrides)
+        assert s.cycles[0].t2 == t2
+        assert all(row.end_state.min() >= 0.0 for row in s.cycles)
 
 
 class TestBatchedGrid:

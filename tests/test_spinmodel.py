@@ -190,7 +190,7 @@ class TestLineCoefficients:
         for rates in (RateParams(), RateParams(k_s=0.75, k_i=0.25), RateParams(k_i=0.0)):
             for _ in range(10):
                 w, p = rng.normal(size=6), random_simplex(rng)
-                c0, a, b, c, m, g = _line_coefficients(w, p, rates)
+                c0, a, b, c, m, g = _line_coefficients(_MODES @ p @ w, rates)
                 for t in (0.0, 0.3, 2.0, 20.0):
                     phi1 = -np.expm1(-g * t) / g if g > 0.0 else t
                     f = c0 + np.exp(-m * t) * (a + b * np.exp(-g * t) + c * phi1)

@@ -324,16 +324,29 @@ def formula_spectrum(fid, fp):
 
 
 def formula_amplitudes(spec, fp):
-    """The 3x3 unmixing solved in place, from spec's own grid."""
+    """The 3x3 unmixing solved in place, from spec's own grid and unit-line spectra."""
     freqs = spec.freqs_mhz
     lines = np.array([fp.line_frequency(mi) for mi in (-1, +1, 0)])
     bins = np.rint((lines - freqs[0]) / (freqs[1] - freqs[0])).astype(int)
-    w = fp.dt * (2j * np.pi * (lines[np.newaxis, :] - freqs[bins][:, np.newaxis])
-                 - 1.0 / fp.t2star)
-    cols = (np.expm1(fp.n_samples * w) / np.expm1(w)).T
+    units = (SpectralAmplitudes(*unit) for unit in np.eye(3))
+    cols = np.array([formula_spectrum(formula_fid(u, fp), fp)[0][bins] for u in units])
     adjugate = np.cross(cols[[1, 2, 0]], cols[[2, 0, 1]])
     amps = (adjugate * spec.values[bins]).sum(axis=1) / (adjugate[0] * cols[0]).sum()
     return amps.real
+
+
+def closed_form_templates(fp, bins):
+    """T[b, m], the DFT at bin b of a unit line m, as a geometric sum.
+
+    sum_k z^k = (1 - z^N)/(1 - z) with z = exp(dt (2 pi i (f_m - f_b) -
+    1/t2star)); expm1 keeps numerator and denominator accurate when z is
+    close to 1.
+    """
+    freqs = formula_spectrum(np.zeros(1), fp)[1]
+    lines = np.array([fp.line_frequency(mi) for mi in (-1, +1, 0)])
+    w = fp.dt * (2j * np.pi * (lines[np.newaxis, :] - freqs[bins][:, np.newaxis])
+                 - 1.0 / fp.t2star)
+    return np.expm1(fp.n_samples * w) / np.expm1(w)
 
 
 def bit_equal(a, b):
@@ -416,3 +429,14 @@ class TestCaches:
             spec = spectrum(synthesize_fid(SpectralAmplitudes(*amps), fp), fp)
             got = extract_amplitudes(spec, fp, cal).as_array()
             assert bit_equal(got, formula_amplitudes(spec, fp))
+
+    @pytest.mark.parametrize("fp", FORMULA_PARAMS, ids=fp_id)
+    def test_templates_match_the_closed_form_dft(self, fp):
+        # The cache keeps the inverse of the templates as adjugate / det;
+        # rebuilt from the closed-form DFT, both agree to 1e-13 relative.
+        bins, adjugate, det = tomography._unmixing(fp)
+        cols = closed_form_templates(fp, bins).T
+        want = np.cross(cols[[1, 2, 0]], cols[[2, 0, 1]])
+        want_det = (want[0] * cols[0]).sum()
+        assert np.abs(adjugate - want).max() <= 1e-13 * np.abs(want).max()
+        assert abs(det - want_det) <= 1e-13 * abs(want_det)
