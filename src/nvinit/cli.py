@@ -203,10 +203,9 @@ def _cmd_optimize(args) -> int:
         "end_state": _state_list(schedule.end_state),
         "cycles": rows,
     }
-    yaml_path = out / "schedule.yaml"
-    with open(yaml_path, "w", encoding="utf-8") as handle:
-        yaml.safe_dump(doc, handle, sort_keys=False)
-    _emit_yaml(doc)
+    text = yaml.safe_dump(doc, sort_keys=False)
+    (out / "schedule.yaml").write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
     return 0
 
 

@@ -116,7 +116,10 @@ def _mapping(node, path: str) -> dict:
 def _number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(f"{path} must be a number")
-    return float(node)
+    try:
+        return float(node)
+    except OverflowError:           # an integer beyond the float range
+        raise ConfigError(f"{path} must be finite, got {node}") from None
 
 
 def _integer(node, path: str) -> int:
@@ -250,7 +253,7 @@ _ROOT_KEYS = {
 def _load_yaml(text: str):
     try:
         return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:    # RecursionError: nested too deeply
         raise ConfigError("malformed document: " + " ".join(str(exc).split())) from None
 
 

@@ -150,7 +150,11 @@ def _clamp_dust(p: np.ndarray) -> np.ndarray:
     low = p.min()
     if low < -_SUM_TOL:
         raise ValueError(f"propagation produced a negative population {low!r}")
-    return np.where(p < 0.0, 0.0, p)
+    if low < 0.0:           # the largest entry pays for the zeroed dust: the sum is kept
+        dust = p < 0.0
+        p[p.argmax()] += p[dust].sum()
+        p[dust] = 0.0
+    return p
 
 
 def rate_matrix(rates: RateParams = RateParams()) -> np.ndarray:

@@ -21,15 +21,16 @@ projection with known frequencies, Golub & Pereyra 1973).  This removes
 the leakage and keeps the sign: a noise-free FID round-trips to rounding
 error, for negative amplitudes too.
 
-Everything that depends on the FidParams alone (the shifted frequency
-grid, the three unit-line phasors with the decay envelope, the
-calibration spectrum and the solved 3x3 unmixing) is computed once per
-FidParams and kept in small bounded caches, whose arrays are read-only.
-Extraction accepts only spectra on exactly that grid.
+Everything that depends on the FidParams alone is computed once per
+FidParams and kept in two bounded caches of read-only arrays: the basis
+(unit lines, decay, grid and calibration spectrum), which never refuses,
+and the 3x3 unmixing, which refuses lines it cannot separate.
+Extraction accepts only spectra on exactly the basis grid.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass, field
 
@@ -152,26 +153,40 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _line_basis(fp: FidParams) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Unit-line phasors exp(2j pi f_m tau) in _MI_ORDER and exp(-tau / t2star).
+def _synthesize(amps, lines, decay: np.ndarray) -> np.ndarray:
+    """sum_m amps[m] lines[m], times the decay; unchecked."""
+    series = np.zeros(len(decay), dtype=complex)
+    for a, line in zip(amps, lines):
+        series += a * line
+    return series * decay
 
-    Read-only; 56 bytes per sample (three complex rows and one real row),
-    0.9 MB per entry at 16384 samples.
-    """
+
+def _transform(fid: np.ndarray, fp: FidParams) -> np.ndarray:
+    """Padded FFT of a complex FID, halves swapped in place (fftshift, no copy); unchecked."""
+    values = np.fft.fft(fid, n=fp.padded_length)
+    half = fp.padded_length // 2
+    values[:half], values[half:] = values[half:], values[:half].copy()
+    return values
+
+
+_Basis = collections.namedtuple("_Basis", "lines decay freqs calibration")
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _basis(fp: FidParams) -> _Basis:
+    """Unit lines exp(2j pi f_m tau) in _MI_ORDER, decay exp(-tau / t2star), freqs
+    (the shifted grid in MHz) and the calibration spectrum on freqs: 56 bytes per
+    sample plus 24 per padded bin, 2.5 MB at 16384 samples."""
     tau = np.arange(fp.n_samples) * fp.dt
     lines = tuple(_read_only(np.exp(2j * np.pi * fp.line_frequency(mi) * tau))
                   for mi in _MI_ORDER)
-    return lines, _read_only(np.exp(-tau / fp.t2star))
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _grid(fp: FidParams) -> np.ndarray:
-    """Shifted frequency grid of the padded transform, in MHz.
-
-    Read-only; 8 bytes per padded bin, 0.5 MB per entry at 16384 samples.
-    """
-    return _read_only(np.fft.fftshift(np.fft.fftfreq(fp.padded_length, fp.dt)))
+    decay = _read_only(np.exp(-tau / fp.t2star))
+    freqs = _read_only(np.fft.fftshift(np.fft.fftfreq(fp.padded_length, fp.dt)))
+    fid = _synthesize(np.full(3, 1.0 / 3.0), lines, decay)
+    # A copy made once the transform's buffers are freed: without it glibc trims and regrows
+    # the heap top on each large round trip (perfbench readout: 93 vs 46 page faults per op).
+    calibration = Spectrum(freqs, _read_only(_transform(fid, fp).copy()), fp.n_samples)
+    return _Basis(lines=lines, decay=decay, freqs=freqs, calibration=calibration)
 
 
 def synthesize_fid(amps: SpectralAmplitudes, fp: FidParams = FidParams()) -> np.ndarray:
@@ -180,11 +195,8 @@ def synthesize_fid(amps: SpectralAmplitudes, fp: FidParams = FidParams()) -> np.
     s(tau_k) = sum_m a_m exp(2j pi (detuning + split m) tau_k)
                * exp(-tau_k / t2star),  tau_k = k dt.
     """
-    lines, decay = _line_basis(fp)
-    series = np.zeros(fp.n_samples, dtype=complex)
-    for a, line in zip(amps.as_array(), lines):
-        series += a * line
-    return series * decay
+    basis = _basis(fp)
+    return _synthesize(amps.as_array(), basis.lines, basis.decay)
 
 
 def spectrum(fid: np.ndarray, fp: FidParams = FidParams()) -> Spectrum:
@@ -200,24 +212,7 @@ def spectrum(fid: np.ndarray, fp: FidParams = FidParams()) -> Spectrum:
         raise ValueError("FID must be a 1-d series no longer than the padded length")
     if not np.isfinite(fid).all():
         raise ValueError("FID must be finite")
-    values = np.fft.fft(fid, n=fp.padded_length)
-    # fftshift of an even length swaps the halves; in place it skips a copy.
-    half = fp.padded_length // 2
-    values[:half], values[half:] = values[half:], values[:half].copy()
-    return Spectrum(freqs_mhz=_grid(fp), values=values, fid_length=len(fid))
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _calibration(fp: FidParams) -> Spectrum:
-    """Read-only calibration spectrum.
-
-    16 bytes per padded bin, 24 once its grid has left _grid's cache:
-    1.5 MB per entry at 16384 samples at worst.
-    """
-    ref = SpectralAmplitudes(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    spec = spectrum(synthesize_fid(ref, fp), fp)
-    _read_only(spec.values)
-    return spec
+    return Spectrum(_basis(fp).freqs, _transform(fid, fp), len(fid))
 
 
 def calibration_spectrum(fp: FidParams = FidParams()) -> Spectrum:
@@ -226,11 +221,11 @@ def calibration_spectrum(fp: FidParams = FidParams()) -> Spectrum:
     Computed once per FidParams: equal parameters return the same
     Spectrum, whose arrays are read-only.
     """
-    return _calibration(fp)
+    return _basis(fp).calibration
 
 
 def _check_grid(spec: Spectrum, fp: FidParams, name: str) -> None:
-    grid = _grid(fp)   # spectrum(fid, fp) shares it: identity settles most calls
+    grid = _basis(fp).freqs   # spectrum(fid, fp) shares it: identity settles most calls
     if spec.freqs_mhz is not grid and not np.array_equal(spec.freqs_mhz, grid):
         raise ValueError(f"{name} is not on the grid of the FID parameters "
                          f"({fp.padded_length} bins of "
@@ -241,11 +236,12 @@ def _check_grid(spec: Spectrum, fp: FidParams, name: str) -> None:
 def _unmixing(fp: FidParams) -> tuple[np.ndarray, np.ndarray, complex]:
     """Line bins, adjugate and determinant of the 3x3 unit-line templates.
 
-    Template column m is spectrum(line_m * decay, fp) at the line bins.
+    Template column m is the transform of line_m * decay at the line bins.
     Read-only; 184 bytes of arrays per entry, whatever the sample count.
     Refuses a line outside the grid and two lines in one bin.
     """
-    freqs = _grid(fp)
+    basis = _basis(fp)
+    freqs = basis.freqs
     lines = np.array([fp.line_frequency(mi) for mi in _MI_ORDER])
     for f0 in lines:
         if f0 < freqs[0] or f0 > freqs[-1]:
@@ -254,8 +250,7 @@ def _unmixing(fp: FidParams) -> tuple[np.ndarray, np.ndarray, complex]:
     if len(set(bins.tolist())) < len(bins):
         raise ValueError("two lines share a spectral bin; their amplitudes "
                          "cannot be separated (hyperfine_split too small)")
-    phasors, decay = _line_basis(fp)
-    cols = np.array([spectrum(line * decay, fp).values[bins] for line in phasors])
+    cols = np.array([_transform(line * basis.decay, fp)[bins] for line in basis.lines])
     # Cramer's rule: row m of the inverse is the cross product of the other
     # two template columns over the determinant (cond(T) is 1.1 at the default
     # 2.16 MHz spacing).  Elementwise sums keep BLAS and LAPACK, and the
@@ -269,11 +264,9 @@ def extract_amplitudes(spec: Spectrum, fp: FidParams,
     """Recover line amplitudes from a spectrum by exact linear unmixing.
 
     The spectrum of an FID synthesized with fp is linear in the three
-    amplitudes.  The bin nearest each line frequency is taken, the 3x3
-    complex matrix T[b, m] holds the spectrum of a unit line m at bin b,
-    and T a = spectrum[b] is solved, once per FidParams; the real parts
-    are returned.  A noise-free spectrum is recovered to rounding
-    error, whatever the signs of the amplitudes.
+    amplitudes.  T[b, m] holds the spectrum of a unit line m at the bin b
+    nearest line b, T a = spectrum[b] is solved (once per FidParams) and
+    the real parts are returned: exact to rounding error, whatever their signs.
 
     calibration is the reference spectrum (calibration_spectrum(fp)).
     The unmixing needs no reference, so it is only checked to lie on the

@@ -277,6 +277,24 @@ class TestSimulate:
         assert err.count("\n") == 1
 
 
+BIG = "1" + "0" * 400     # an integer beyond the float range
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("transitions", f"fid: {{dt_us: {BIG}}}", "error: fid.dt_us must be finite"),
+    ("simulate", f"pulses:\n  - {{kind: laser, duration_us: {BIG}}}",
+     "error: pulses[0].duration_us must be finite"),
+    ("simulate", "a: " + "[" * 500 + "]" * 500, "error: malformed document:"),
+], ids=["config-overflow", "sequence-overflow", "nested-too-deep"])
+def test_oversized_input_is_one_line(tmp_path, capsys, command, text, message):
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(text)
+    args = ["--config", str(doc)] if command == "transitions" else [str(doc)]
+    assert main([command, *args, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 class TestGlobalFlags:
     def test_config_before_or_after_subcommand(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from nvinit.config import (Config, ConfigError, OptimizerSettings, load_config,
@@ -158,6 +160,46 @@ class TestDocumentErrors:
 
     def test_config_error_is_value_error(self):
         assert issubclass(ConfigError, ValueError)
+
+
+BIG = "1" + "0" * 400     # an integer beyond the float range
+
+
+#: Dotted key -> document setting it to BIG, per parser.
+CONFIG_OVERFLOWS = {
+    "fid.dt_us": f"fid: {{dt_us: {BIG}}}",
+    "hamiltonian.b_field_mt": f"hamiltonian: {{b_field_mt: {BIG}}}",
+    "rates.k_s_per_us": f"rates: {{k_s_per_us: {BIG}}}",
+    "rates.inv_k_i_us": f"rates: {{inv_k_i_us: {BIG}}}",
+    "optimizer.t_max_us": f"optimizer: {{t_max_us: {BIG}}}",
+    "optimizer.cycle1.t1_us": f"optimizer: {{cycle1: {{t1_us: {BIG}}}}}",
+    "optimizer.cycle1.seg2_start[0]":
+        f"optimizer: {{cycle1: {{seg2_start: [{BIG}, 0, 0, 0, 0, 0]}}}}",
+}
+SEQUENCE_OVERFLOWS = {
+    "initial_state[1]": f"initial_state: [0, {BIG}, 0, 0, 0, 0]",
+    "pulses[0].duration_us": f"pulses:\n  - {{kind: laser, duration_us: {BIG}}}",
+    "pulses[0].fidelity":
+        f"pulses:\n  - {{kind: rf_pi, pair: [[-1, -1], [-1, 0]], fidelity: {BIG}}}",
+}
+
+
+class TestOversizedInput:
+    @pytest.mark.parametrize("key", CONFIG_OVERFLOWS)
+    def test_config_integer_beyond_float_range(self, key):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be finite, got {BIG}$"):
+            parse_config(CONFIG_OVERFLOWS[key])
+
+    @pytest.mark.parametrize("key", SEQUENCE_OVERFLOWS)
+    def test_sequence_integer_beyond_float_range(self, key):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be finite, got {BIG}$"):
+            parse_sequence(SEQUENCE_OVERFLOWS[key])
+
+    @pytest.mark.parametrize("parse", [parse_config, parse_sequence])
+    def test_document_nested_too_deep(self, parse):
+        with pytest.raises(ConfigError, match="^malformed document: .*recursion") as info:
+            parse("a: " + "[" * 500 + "]" * 500)
+        assert "\n" not in str(info.value)
 
 
 class TestLoadConfig:

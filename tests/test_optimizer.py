@@ -351,6 +351,16 @@ class TestValidatedDust:
         assert s.cycles[0].t2 == t2
         assert all(row.end_state.min() >= 0.0 for row in s.cycles)
 
+    @pytest.mark.parametrize("p", [(0.25, 0.25, 0.0, -1e-9, 0.25, 0.25 + 1e-9),
+                                   (0.25, 0.25, 0.0, -8e-10, -8e-10, 0.5 + 1.6e-9)])
+    def test_clamp_keeps_the_sum_so_calls_chain(self, p):
+        # zeroing the dust alone gave sums of 1 + 1e-9 and 1 + 1.6e-9,
+        # which objective_value then refused
+        q = propagate(p, 0.0)
+        assert q.min() >= 0.0 and abs(q.sum() - 1.0) <= 1e-15
+        assert objective_value(q) == q[2]
+        assert objective_value(apply_pulse(q, Laser(0.5))) > q[2]
+
 
 class TestBatchedGrid:
     def test_unknown_objective(self):

@@ -353,8 +353,7 @@ def bit_equal(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-CACHES = (tomography._line_basis, tomography._grid, tomography._calibration,
-          tomography._unmixing)
+CACHES = (tomography._basis, tomography._unmixing)
 # 3000 samples: a padded length (12000) that is not a power of two.
 OTHER = FidParams(detuning=-3.1, hyperfine_split=1.7, t2star=0.8, dt=0.05, n_samples=3000)
 FORMULA_PARAMS = [FidParams(n_samples=n) for n in (256, 2048, 4096, 16384)] + [OTHER]
@@ -402,6 +401,35 @@ class TestCaches:
             for cache in CACHES:
                 info = cache.cache_info()
                 assert info.currsize <= info.maxsize
+
+    def test_round_trip_fills_each_cache_once(self):
+        # _basis serves synthesis, transform, calibration and the grid check;
+        # _unmixing is solved on the first extraction.
+        for cache in CACHES:
+            cache.cache_clear()
+        fp = FidParams(detuning=2.5, n_samples=512)
+        for _ in range(2):
+            roundtrip(PUBLISHED, fp)
+            assert [cache.cache_info().misses for cache in CACHES] == [1, 1]
+
+    @pytest.mark.parametrize("fp, refusal", [
+        (FidParams(hyperfine_split=0.0, n_samples=512), "two lines share a spectral bin"),
+        (FidParams(detuning=15.5, hyperfine_split=0.484375, dt=0.03125, n_samples=256),
+         "line frequency 15.984375 MHz is outside"),
+    ], ids=["shared-bin", "past-the-last-bin"])
+    def test_unreadable_params_fill_the_basis_only(self, fp, refusal):
+        # such params still synthesize, transform and calibrate; lru_cache
+        # keeps no refusal, so the unmixing refuses on every call
+        for cache in CACHES:
+            cache.cache_clear()
+        cal = calibration_spectrum(fp)
+        spec = spectrum(synthesize_fid(THIRD, fp), fp)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^" + refusal):
+                extract_amplitudes(spec, fp, cal)
+        basis, unmixing = (cache.cache_info() for cache in CACHES)
+        assert (basis.misses, basis.currsize) == (1, 1)
+        assert (unmixing.misses, unmixing.currsize) == (3, 0)
 
     @pytest.mark.parametrize("fp", FORMULA_PARAMS, ids=fp_id)
     def test_bit_identical_to_the_formulas(self, fp):
