@@ -30,8 +30,8 @@ import yaml
 from .config import load_config, parse_sequence
 from .hamiltonian import transition_table
 from .optimizer import REFERENCE_CYCLE1_OVERRIDES, optimize_schedule
-from .pulses import initial_state, run_segment, run_sequence, seg1, seg2
-from .spinmodel import _check_number, propagate, validate_population
+from .pulses import _SWAPS, _step, initial_state, run_sequence
+from .spinmodel import _check_number, _propagate, validate_population
 from .tomography import (amplitudes, calibration_spectrum, extract_amplitudes,
                          spectrum, synthesize_fid)
 
@@ -104,16 +104,17 @@ def _cmd_sweep(args) -> int:
     _check_number("--steps", args.steps, 2, integer=True)
     _check_number("--t-max", args.t_max, 0, strict=True)
     if args.segment == "seg1":
-        start, segment = initial_state(cfg.rates), seg1(0.0)
+        k, state = 0, initial_state(cfg.rates)
     else:
-        # seg2 is swept from the tabulated post-seg1 state so the sweep
-        # reproduces the reference figure rather than a model-chained run.
-        start, segment = REFERENCE_CYCLE1_OVERRIDES.seg2_start, seg2(0.0)
-    swapped = run_segment(start, segment, cfg.rates)[0]
+        # The tabulated post-seg1 state (checked when it was built), so the
+        # sweep reproduces the reference figure rather than a model-chained run.
+        k, state = 1, np.asarray(REFERENCE_CYCLE1_OVERRIDES.seg2_start, dtype=float)
+    for pulse in _SWAPS[k]:     # both starts are valid: no state is checked again
+        state = _step(state, pulse, cfg.rates)
     rows = []
     for t in np.linspace(0.0, args.t_max, args.steps):
-        p = propagate(swapped, float(t), cfg.rates)
-        rows.append([_fmt(v) for v in (t, *p, *amplitudes(p).as_array(), p[0] + p[1] + p[2])])
+        p = _propagate(state, float(t), cfg.rates)    # p[:3] - p[3:] is amplitudes(p)
+        rows.append([_fmt(v) for v in (t, *p, *(p[:3] - p[3:]), p[0] + p[1] + p[2])])
     path = out / f"sweep_{args.segment}.csv"
     _write_csv(path, ["duration_us", "p0", "p1", "p2", "p3", "p4", "p5",
                       "a_minus1", "a_plus1", "a_zero", "total_ms0"], rows)

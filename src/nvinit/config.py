@@ -253,7 +253,8 @@ _ROOT_KEYS = {
 def _load_yaml(text: str):
     try:
         return yaml.safe_load(text)
-    except (yaml.YAMLError, RecursionError) as exc:    # RecursionError: nested too deeply
+    # RecursionError: nested too deeply; ValueError: a constructor refused a value (2001-13-45)
+    except (yaml.YAMLError, RecursionError, ValueError) as exc:
         raise ConfigError("malformed document: " + " ".join(str(exc).split())) from None
 
 

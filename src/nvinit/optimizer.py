@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulses import _step, seg1, seg2
+from .pulses import _SWAPS, _step
 from .spinmodel import (_MODES, RateParams, _check_number, _line_coefficients,
                         _mode_weights, _propagate, validate_population)
 
@@ -56,9 +56,6 @@ _TIE_TOL = 1e-6      # objective value; ties resolve to the smallest t
 #: Weight vector w of each objective w . p.
 _WEIGHTS = {P00: np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
             A0: np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0])}
-
-#: The swap pulses of each segment builder, everything but its laser.
-_SWAPS = {builder: builder(0.0).pulses[:-1] for builder in (seg1, seg2)}
 
 
 def _check_rules(objective: str, t_max: float = 10.0, strategy: str = INTERLEAVED,
@@ -189,26 +186,25 @@ def _coerce_overrides(overrides) -> CycleOverrides:
 def _fold(state: np.ndarray, passes, rates: RateParams, w: np.ndarray, t_max: float) -> tuple:
     """Run laser passes in order; row i pairs the i-th seg1 and seg2 passes.
 
-    A pass is (segment builder, pinned duration or None, start state or
-    None).  A start state replaces the incoming one, the segment's swaps
-    run, and its laser runs once, for the pinned duration or the line
-    search's pick on w, through the pulse step of pulses.apply_pulse.
-    The callers have checked every input, so nothing here is checked again.
+    A pass is (segment index, pinned duration or None, start state or
+    None), the index 0 for seg1 and 1 for seg2.  A start state replaces
+    the incoming one, the segment's pulses._SWAPS run, and its laser runs
+    once, for the pinned duration or the line search's pick on w, through
+    the pulse step of pulses.apply_pulse; the callers checked every input.
     """
-    done = {seg1: [], seg2: []}
-    for builder, t_pinned, start in passes:
+    done = ([], [])
+    for k, t_pinned, start in passes:
         if start is not None:
             state = np.asarray(start, dtype=float)
-        for pulse in _SWAPS[builder]:
+        for pulse in _SWAPS[k]:
             state = _step(state, pulse, rates)
         t = t_pinned if t_pinned is not None else _line_search(w, state, rates, t_max)
         state = _propagate(state, t, rates)
-        done[builder].append((t, float(state[2]), state))
+        done[k].append((t, float(state[2]), state))
     return tuple(
         CycleResult(cycle=i, t1=t1, purity_after_seg1=purity1,
                     t2=t2, purity_after_seg2=purity2, end_state=end)
-        for i, ((t1, purity1, _), (t2, purity2, end))
-        in enumerate(zip(done[seg1], done[seg2]), 1))
+        for i, ((t1, purity1, _), (t2, purity2, end)) in enumerate(zip(*done), 1))
 
 
 def run_cycle(p, rates: RateParams = RateParams(), objective: str = P00,
@@ -246,8 +242,8 @@ def optimize_schedule(p0, rates: RateParams = RateParams(), objective: str = P00
     w = _check_rules(objective, t_max, strategy, n_cycles)
     ov1 = _coerce_overrides(cycle1_overrides)
     seg2_start = ov1.seg2_start if strategy == INTERLEAVED else None
-    firsts = [(seg1, ov1.t1, None)] + [(seg1, None, None)] * (n_cycles - 1)
-    seconds = [(seg2, ov1.t2, seg2_start)] + [(seg2, None, None)] * (n_cycles - 1)
+    firsts = [(0, ov1.t1, None)] + [(0, None, None)] * (n_cycles - 1)
+    seconds = [(1, ov1.t2, seg2_start)] + [(1, None, None)] * (n_cycles - 1)
     passes = (firsts + seconds if strategy == BLOCKED
               else [p for cycle in zip(firsts, seconds) for p in cycle])
     rows = _fold(validate_population(p0), passes, rates, w, t_max)

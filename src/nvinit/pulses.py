@@ -107,18 +107,18 @@ class TraceRecord:
     state: np.ndarray = field(repr=False)
 
 
-def _segment(label: str, k: int, t: float) -> Segment:
-    return Segment(label, (MwPi(MW_PAIRS[k]), RfPi(RF_PAIRS[k]), Laser(t)))
+#: The swaps of each segment, everything but its laser: index 0 is seg1, 1 is seg2.
+_SWAPS = tuple((MwPi(mw), RfPi(rf)) for mw, rf in zip(MW_PAIRS, RF_PAIRS))
 
 
 def seg1(t1: float) -> Segment:
     """Segment addressing m_I=-1: MW swap, RF swap, laser of length t1."""
-    return _segment("seg1", 0, t1)
+    return Segment("seg1", _SWAPS[0] + (Laser(t1),))
 
 
 def seg2(t2: float) -> Segment:
     """Segment addressing m_I=+1: MW swap, RF swap, laser of length t2."""
-    return _segment("seg2", 1, t2)
+    return Segment("seg2", _SWAPS[1] + (Laser(t2),))
 
 
 def _describe(pulse: Pulse) -> str:

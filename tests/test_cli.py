@@ -5,6 +5,7 @@ import math
 import pytest
 import yaml
 
+from nvinit import cli, config, optimizer, pulses, spinmodel, tomography
 from nvinit.cli import main
 
 SEG1_SEQUENCE = """\
@@ -96,6 +97,27 @@ class TestSweep:
             assert main(["sweep", "seg1", "--out", str(tmp_path), "--t-max", bad]) == 1
             err = capsys.readouterr().err
             assert err == f"error: --t-max must be finite, got {bad}\n"
+
+    @pytest.mark.parametrize("segment", ["seg1", "seg2"])
+    def test_checks_no_state_it_built(self, segment, tmp_path, monkeypatch, capsys):
+        """Both starts are valid already, so no grid point is checked again."""
+        checked = {"validate_population": spinmodel.validate_population,
+                   "propagate": spinmodel.propagate, "amplitudes": tomography.amplitudes}
+        calls = []
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, config, optimizer, pulses, spinmodel, tomography):
+            for name, func in checked.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, func))
+        assert main(["sweep", segment, "--out", str(tmp_path)]) == 0
+        assert calls.count("validate_population") <= 1
+        assert "propagate" not in calls and "amplitudes" not in calls
 
     def test_unknown_segment_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -285,7 +307,11 @@ BIG = "1" + "0" * 400     # an integer beyond the float range
     ("simulate", f"pulses:\n  - {{kind: laser, duration_us: {BIG}}}",
      "error: pulses[0].duration_us must be finite"),
     ("simulate", "a: " + "[" * 500 + "]" * 500, "error: malformed document:"),
-], ids=["config-overflow", "sequence-overflow", "nested-too-deep"])
+    ("transitions", "output_dir: 2001-13-45", "error: malformed document: month"),
+    ("simulate", "pulses:\n  - {kind: laser, duration_us: 1" + "0" * 4400 + "}",
+     "error: malformed document: Exceeds the limit (4300 digits)"),
+], ids=["config-overflow", "sequence-overflow", "nested-too-deep", "config-bad-date",
+        "sequence-too-many-digits"])
 def test_oversized_input_is_one_line(tmp_path, capsys, command, text, message):
     doc = tmp_path / "doc.yaml"
     doc.write_text(text)

@@ -201,6 +201,18 @@ class TestOversizedInput:
             parse("a: " + "[" * 500 + "]" * 500)
         assert "\n" not in str(info.value)
 
+    # PyYAML's constructors refuse these with a ValueError of their own.
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_config, "output_dir: 2001-13-45", "month must be in 1..12"),
+        (parse_config, "fid: {dt_us: 1" + "0" * 4400 + "}", "4300 digits"),
+        (parse_sequence, "initial_state: 2001-13-45", "month must be in 1..12"),
+        (parse_sequence, "pulses:\n  - {kind: laser, duration_us: 1" + "0" * 4400 + "}",
+         "4300 digits"),
+    ], ids=["config-date", "config-digits", "sequence-date", "sequence-digits"])
+    def test_value_refused_by_yaml_is_malformed(self, parse, text, message):
+        with pytest.raises(ConfigError, match=f"^malformed document: .*{re.escape(message)}"):
+            parse(text)
+
 
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):

@@ -6,7 +6,8 @@ from nvinit.optimizer import (A0, BLOCKED, INTERLEAVED, P00,
                               REFERENCE_CYCLE1_OVERRIDES, CycleOverrides,
                               objective_value, optimize_laser, optimize_schedule,
                               run_cycle)
-from nvinit.pulses import Laser, apply_pulse, initial_state, run_sequence, seg1, seg2
+from nvinit.pulses import (Laser, apply_pulse, initial_state, run_segment, run_sequence,
+                           seg1, seg2)
 from nvinit.spinmodel import RateParams, propagate, propagator, steady_state
 
 PUBLISHED = np.array([0.07, 0.33, 0.55, 0.0, 0.0, 0.05])
@@ -246,18 +247,21 @@ class TestBoundaryChecks:
 
 
 class TestFoldMatchesPublicPath:
+    """Every row replays bit for bit through optimize_laser and run_segment."""
+
     @pytest.mark.parametrize("rates", [RateParams(), RateParams(k_s=0.75, k_i=0.25)])
     @pytest.mark.parametrize("strategy", [INTERLEAVED, BLOCKED])
     @pytest.mark.parametrize("overrides", [None, REFERENCE_CYCLE1_OVERRIDES])
     @pytest.mark.parametrize("objective", [P00, A0])
-    def test_rows_replay_through_run_sequence(self, rates, strategy, overrides,
-                                              objective):
+    @pytest.mark.parametrize("n_cycles", [1, 4])
+    def test_rows_replay_through_run_segment(self, rates, strategy, overrides,
+                                             objective, n_cycles):
         p0 = initial_state(rates)
-        s = optimize_schedule(p0, rates, objective, 4, strategy, overrides)
-        seg2_start = (overrides.seg2_start
-                      if overrides is not None and strategy == INTERLEAVED else None)
-        firsts = [(seg1, row.t1) for row in s.cycles]
-        seconds = [(seg2, row.t2) for row in s.cycles]
+        s = optimize_schedule(p0, rates, objective, n_cycles, strategy, overrides)
+        ov = overrides or CycleOverrides()
+        seg2_start = ov.seg2_start if strategy == INTERLEAVED else None
+        firsts = [(seg1, ov.t1)] + [(seg1, None)] * (n_cycles - 1)
+        seconds = [(seg2, ov.t2)] + [(seg2, None)] * (n_cycles - 1)
         order = (firsts + seconds if strategy == BLOCKED
                  else [p for pair in zip(firsts, seconds) for p in pair])
         after = {seg1: [], seg2: []}
@@ -265,9 +269,15 @@ class TestFoldMatchesPublicPath:
         for builder, t in order:
             if builder is seg2 and not after[seg2] and seg2_start is not None:
                 state = np.array(seg2_start)
-            state = run_sequence(state, builder(t).pulses, rates)[0]
-            after[builder].append(state)
-        for row, end1, end2 in zip(s.cycles, after[seg1], after[seg2]):
+            if t is None:
+                swapped = run_sequence(state, builder(0.0).pulses[:-1], rates)[0]
+                t = optimize_laser(swapped, rates, objective)[0]
+            state = run_segment(state, builder(t), rates)[0]
+            after[builder].append((t, state))
+        rows = list(zip(s.cycles, after[seg1], after[seg2], strict=True))
+        assert len(rows) == n_cycles
+        for row, (t1, end1), (t2, end2) in rows:
+            assert (row.t1, row.t2) == (t1, t2)
             assert row.purity_after_seg1 == end1[2]
             assert row.purity_after_seg2 == end2[2]
             assert np.array_equal(row.end_state, end2)
