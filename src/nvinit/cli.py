@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import load_config, parse_sequence
+from .config import _read, load_config, parse_sequence
 from .hamiltonian import transition_table
 from .optimizer import REFERENCE_CYCLE1_OVERRIDES, optimize_schedule
 from .pulses import _SWAPS, _step, initial_state, run_sequence
@@ -123,12 +123,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _parse_state_arg(text: str) -> np.ndarray:
-    parts = text.split(",")
     try:
-        values = tuple(float(part) for part in parts)
-    except ValueError:
-        raise ValueError(f"state must be six comma-separated numbers, got {text!r}") \
-            from None
+        values = tuple(float(part) for part in text.split(","))
+    except ValueError:          # refused below with the wrong-count message
+        values = ()
     if len(values) != 6:
         raise ValueError(f"state must be six comma-separated numbers, got {text!r}")
     return validate_population(values)
@@ -212,13 +210,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg, _ = _setup(args, need_out=False)
-    try:
-        with open(args.sequence, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read sequence {args.sequence}: "
-                         f"{exc.strerror or exc}") from None
-    start, pulses = parse_sequence(text)
+    start, pulses = parse_sequence(_read(args.sequence, "sequence"))
     state = start if start is not None else initial_state(cfg.rates)
     final, trace = run_sequence(state, pulses, cfg.rates)
     _emit_yaml({

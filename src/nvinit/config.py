@@ -5,7 +5,8 @@ sections fall back to the built-in defaults (the measured rates and
 spin-Hamiltonian constants).  Unknown keys are rejected with the full
 dotted path so typos surface instead of silently using a default.  Values
 are checked by the library's own rules, the rates by the scalar rule under
-their dotted key.
+their dotted key.  _read alone opens a document file: a missing or
+non-UTF-8 one is a ConfigError naming its path.
 
     rates:
       k_s_per_us: 3.7037     # or inv_k_s_us: 0.27 (not both)
@@ -28,7 +29,7 @@ their dotted key.
       objective: p00         # or a0
       n_cycles: 3
       strategy: interleaved  # or blocked
-      cycle1:                # null disables the first-cycle overrides
+      cycle1:                # null or {}: no first-cycle overrides
         t1_us: 0.5
         t2_us: 0.46
         seg2_start: [0.07, 0.33, 0.55, 0.0, 0.0, 0.05]
@@ -78,7 +79,7 @@ class OptimizerSettings:
     objective: str = P00
     n_cycles: int = 3
     strategy: str = INTERLEAVED
-    cycle1: CycleOverrides | None = REFERENCE_CYCLE1_OVERRIDES
+    cycle1: CycleOverrides = REFERENCE_CYCLE1_OVERRIDES
 
     def __post_init__(self) -> None:
         _check_rules(self.objective, self.t_max, self.strategy, self.n_cycles)
@@ -224,19 +225,12 @@ def _section(table: dict, cls):
     return lambda node, path: _parse_section(node, path, table, cls)
 
 
-def _cycle1(node, path: str) -> CycleOverrides | None:
-    """The cycle1 section; null disables the first-cycle overrides."""
-    if node is None:
-        return None
-    return _parse_section(node, path, _CYCLE1_KEYS, CycleOverrides)
-
-
 _OPTIMIZER_KEYS = {
     "t_max_us": ("t_max", _number),
     "objective": ("objective", _string),
     "n_cycles": ("n_cycles", _integer),
     "strategy": ("strategy", _string),
-    "cycle1": ("cycle1", _cycle1),
+    "cycle1": ("cycle1", _section(_CYCLE1_KEYS, CycleOverrides)),
 }
 
 # Keys are read in table order, so an output_dir error is reported before a
@@ -263,16 +257,19 @@ def parse_config(text: str) -> Config:
     return _parse_section(_load_yaml(text), "", _ROOT_KEYS, Config)
 
 
-def load_config(path: str | None) -> Config:
-    """Read and parse a configuration file; None gives the defaults."""
-    if path is None:
-        return Config()
+def _read(path: str, kind: str) -> str:
+    """The text of a document file; the one place a document is opened."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
-    return parse_config(text)
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {kind} {path}: {reason}") from None
+
+
+def load_config(path: str | None) -> Config:
+    """Read and parse a configuration file; None gives the defaults."""
+    return Config() if path is None else parse_config(_read(path, "config"))
 
 
 def _parse_pair(node, path: str):

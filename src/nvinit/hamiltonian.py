@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .spinmodel import LEVELS, _check_number
+from .spinmodel import LEVELS, _check_number, _shown
 
 __all__ = [
     "HamiltonianParams",
@@ -68,12 +68,12 @@ class TransitionRef:
         (ms_a, mi_a), (ms_b, mi_b) = self.pair
         if self.kind == "MW":
             if ms_a == ms_b or mi_a != mi_b:
-                raise ValueError(f"MW pair must differ only in m_s: {self.pair}")
+                raise ValueError(f"MW pair must differ only in m_s: {_shown(self.pair)}")
         elif self.kind == "RF":
             if ms_a != ms_b or mi_a == mi_b:
-                raise ValueError(f"RF pair must differ only in m_I: {self.pair}")
+                raise ValueError(f"RF pair must differ only in m_I: {_shown(self.pair)}")
         else:
-            raise ValueError(f"kind must be MW or RF, got {self.kind!r}")
+            raise ValueError(f"kind must be MW or RF, got {_shown(self.kind)}")
 
 
 #: The four addressed transitions with their measured frequencies.
@@ -88,7 +88,7 @@ REFERENCE_TRANSITIONS = (
 def energy(level: tuple[int, int], params: HamiltonianParams = HamiltonianParams()) -> float:
     """Energy of |m_s, m_I> in MHz."""
     if level not in LEVELS:
-        raise ValueError(f"unknown level {level}")
+        raise ValueError(f"unknown level {_shown(level)}")
     ms, mi = level
     return (params.d_zfs * ms * ms
             - params.gamma_e * params.b_field * ms
@@ -101,7 +101,7 @@ def transition_frequency(a: tuple[int, int], b: tuple[int, int],
                          params: HamiltonianParams = HamiltonianParams()) -> float:
     """Absolute energy difference |E(a) - E(b)| in MHz."""
     if a == b:
-        raise ValueError(f"transition needs two distinct levels, got {a} twice")
+        raise ValueError(f"transition needs two distinct levels, got {_shown(a)} twice")
     return abs(energy(a, params) - energy(b, params))
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .pulses import _SWAPS, _step
 from .spinmodel import (_MODES, RateParams, _check_number, _line_coefficients,
-                        _mode_weights, _propagate, validate_population)
+                        _mode_weights, _propagate, _shown, validate_population)
 
 __all__ = [
     "P00",
@@ -65,10 +65,11 @@ def _check_rules(objective: str, t_max: float = 10.0, strategy: str = INTERLEAVE
     Every public optimizer function and config.OptimizerSettings call it first.
     """
     _check_number("t_max", t_max, 0, strict=True)
-    if objective not in (P00, A0):
-        raise ValueError(f"unknown objective {objective!r}")
-    if strategy not in (INTERLEAVED, BLOCKED):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    # Names must be str: an array would compare elementwise and pass.
+    if not isinstance(objective, str) or objective not in (P00, A0):
+        raise ValueError(f"unknown objective {_shown(objective)}")
+    if not isinstance(strategy, str) or strategy not in (INTERLEAVED, BLOCKED):
+        raise ValueError(f"unknown strategy {_shown(strategy)}")
     _check_number("n_cycles", n_cycles, 1, 20, integer=True)
     return _WEIGHTS[objective]
 
@@ -175,14 +176,6 @@ def _line_search(w: np.ndarray, p: np.ndarray, rates: RateParams, t_max: float) 
     return next(t for t, value in scored if value >= top - _TIE_TOL)
 
 
-def _coerce_overrides(overrides) -> CycleOverrides:
-    if overrides is None:
-        return CycleOverrides()
-    if isinstance(overrides, CycleOverrides):
-        return overrides
-    return CycleOverrides(*overrides)
-
-
 def _fold(state: np.ndarray, passes, rates: RateParams, w: np.ndarray, t_max: float) -> tuple:
     """Run laser passes in order; row i pairs the i-th seg1 and seg2 passes.
 
@@ -213,8 +206,8 @@ def run_cycle(p, rates: RateParams = RateParams(), objective: str = P00,
 
     The one cycle of an interleaved optimize_schedule, numbered cycle:
     applies the seg1 swaps, picks t1 (override or optimizer on [0, 10] us)
-    and runs the laser; then the same for seg2.  An overrides record may
-    also pin the state handed to seg2 (see CycleOverrides).
+    and runs the laser; then the same for seg2.  overrides is that schedule's
+    cycle1_overrides, None or a CycleOverrides (which may pin seg2's start).
     """
     _check_number("cycle", cycle, 1, integer=True)
     schedule = optimize_schedule(p, rates, objective, 1, INTERLEAVED, overrides)
@@ -227,10 +220,10 @@ def optimize_schedule(p0, rates: RateParams = RateParams(), objective: str = P00
     """Optimize a full N-cycle schedule.
 
     interleaved runs N [seg1, seg2] cycles, blocked N seg1 passes then N
-    seg2 passes; each pass optimizes its laser on [0, t_max].  The t1 and
-    t2 of cycle1_overrides pin the first pass of each segment; its seg2
-    start state is honoured only when interleaved (it describes the state
-    between the segments of an interleaved first cycle).
+    seg2 passes; each pass optimizes its laser on [0, t_max].  cycle1_overrides
+    is a CycleOverrides or None (no overrides); its t1 and t2 pin the first pass
+    of each segment, and its seg2 start state is honoured only when interleaved
+    (it describes the state between the segments of an interleaved first cycle).
 
     Returns
     -------
@@ -240,7 +233,10 @@ def optimize_schedule(p0, rates: RateParams = RateParams(), objective: str = P00
         even though all seg1 passes run first.
     """
     w = _check_rules(objective, t_max, strategy, n_cycles)
-    ov1 = _coerce_overrides(cycle1_overrides)
+    ov1 = CycleOverrides() if cycle1_overrides is None else cycle1_overrides
+    if not isinstance(ov1, CycleOverrides):     # a type name: an array's repr spans lines
+        raise ValueError("cycle1_overrides must be a CycleOverrides or None, "
+                         f"got {type(ov1).__name__}")
     seg2_start = ov1.seg2_start if strategy == INTERLEAVED else None
     firsts = [(0, ov1.t1, None)] + [(0, None, None)] * (n_cycles - 1)
     seconds = [(1, ov1.t2, seg2_start)] + [(1, None, None)] * (n_cycles - 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import REFERENCE_TRANSITIONS
-from .spinmodel import (LEVEL_INDEX, RateParams, _check_number, _propagate,
+from .spinmodel import (LEVEL_INDEX, RateParams, _check_number, _propagate, _shown,
                         validate_population)
 
 __all__ = [
@@ -47,7 +47,7 @@ MW_PAIRS, RF_PAIRS = (tuple(ref.pair for ref in REFERENCE_TRANSITIONS if ref.kin
 def _check_swap(pulse, allowed, kind: str) -> None:
     # Compared by equality, never hashed, so a list is refused like any other non-pair.
     if not any(pulse.pair in (pair, pair[::-1]) for pair in allowed):
-        raise ValueError(f"invalid transition pair for {kind}: {pulse.pair}")
+        raise ValueError(f"invalid transition pair for {kind}: {_shown(pulse.pair)}")
     _check_number("swap_fidelity", pulse.swap_fidelity, 0, 1)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,11 @@ def _eigenmodes() -> np.ndarray:
 _MODES = _eigenmodes()
 
 
+def _shown(value) -> str:
+    """repr(value) with its line breaks folded, for a one-line refusal message."""
+    return re.sub(r"\s*\n\s*", " ", repr(value))
+
+
 def _check_number(name: str, value, low: float = -math.inf, high: float = math.inf,
                   strict: bool = False, integer: bool = False):
     """The one scalar rule of the package: return value, or refuse it in one line.
@@ -80,7 +86,7 @@ def _check_number(name: str, value, low: float = -math.inf, high: float = math.i
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a real number'}, "
-                         f"got {value!r}")
+                         f"got {_shown(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:           # an integer beyond the float range
@@ -130,15 +136,18 @@ class RateParams:
 def validate_population(p) -> np.ndarray:
     """Check and return a population vector as a float array of length 6.
 
-    Entries must lie in [0, 1] and sum to 1, both within 1e-9.
+    Entries must be ints or floats, lie in [0, 1] and sum to 1, both within 1e-9.
     """
-    arr = np.asarray(p, dtype=float)
+    arr = np.asarray(p)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"population vector must hold real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if arr.shape != (6,):
         raise ValueError(f"population vector must have 6 entries, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("population vector must be finite")
     if arr.min() < -_SUM_TOL or arr.max() > 1.0 + _SUM_TOL:
-        raise ValueError(f"population entries must lie in [0, 1]: {arr}")
+        raise ValueError(f"population entries must lie in [0, 1]: {arr.tolist()}")
     total = arr.sum()
     if abs(total - 1.0) > _SUM_TOL:
         raise ValueError(f"population vector must sum to 1, got {float(total)!r}")

@@ -207,7 +207,10 @@ def spectrum(fid: np.ndarray, fp: FidParams = FidParams()) -> Spectrum:
     and the grid run from negative to positive frequencies (fftshift); the
     grid is shared between spectra of equal FidParams and read-only.
     """
-    fid = np.asarray(fid, dtype=complex)
+    fid = np.asarray(fid)
+    if fid.dtype.kind not in "iufc":        # text such as "1+2j" is refused, not parsed
+        raise ValueError(f"FID must hold numbers, got dtype {fid.dtype}")
+    fid = fid.astype(complex, copy=False)
     if fid.ndim != 1 or len(fid) > fp.padded_length:
         raise ValueError("FID must be a 1-d series no longer than the padded length")
     if not np.isfinite(fid).all():

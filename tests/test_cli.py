@@ -321,6 +321,19 @@ def test_oversized_input_is_one_line(tmp_path, capsys, command, text, message):
     assert err.startswith(message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, kind", [("transitions", "config"),
+                                           ("simulate", "sequence")])
+def test_non_utf8_document_names_its_path(tmp_path, capsys, command, kind):
+    # This used to print the codec error without the path.
+    doc = tmp_path / "img.png"
+    doc.write_bytes(b"\x89PNG\r\n\x1a\n")
+    args = ["--config", str(doc)] if command == "transitions" else [str(doc)]
+    assert main([command, *args, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read {kind} {doc}: 'utf-8' codec can't decode byte 0x89 "
+        "in position 0: invalid start byte\n")
+
+
 class TestGlobalFlags:
     def test_config_before_or_after_subcommand(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

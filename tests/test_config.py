@@ -93,7 +93,7 @@ class TestOptimizerSection:
 
     def test_cycle1_null_disables_overrides(self):
         cfg = parse_config("optimizer:\n  cycle1: null\n")
-        assert cfg.optimizer.cycle1 is None
+        assert cfg.optimizer.cycle1 == CycleOverrides()
 
     def test_cycle1_partial(self):
         cfg = parse_config("optimizer:\n  cycle1:\n    t1_us: 0.4\n")
@@ -225,6 +225,15 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(str(tmp_path / "nope.yaml"))
+
+    def test_non_utf8_file_names_its_path(self, tmp_path):
+        # This used to raise a bare UnicodeDecodeError, not a ConfigError.
+        path = tmp_path / "img.png"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n")
+        message = (f"cannot read config {path}: 'utf-8' codec can't decode byte 0x89 "
+                   "in position 0: invalid start byte")
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            load_config(str(path))
 
 
 SEQUENCE = """\

@@ -88,7 +88,7 @@ class TestRunCycle:
 
     def test_duration_only_overrides_follow_the_model(self):
         # without the pinned hand-off state the first cycle ends lower
-        result = run_cycle(initial_state(), overrides=(0.5, 0.46))
+        result = run_cycle(initial_state(), overrides=CycleOverrides(0.5, 0.46))
         assert result.purity_after_seg2 == pytest.approx(0.6998865396766997,
                                                         abs=1e-12)
 
@@ -131,7 +131,7 @@ class TestSchedules:
 
     def test_interleaved_model_chained_rows(self):
         s = optimize_schedule(initial_state(), n_cycles=3,
-                              cycle1_overrides=(0.5, 0.46))
+                              cycle1_overrides=CycleOverrides(0.5, 0.46))
         r1, r2, _ = s.cycles
         assert r1.purity_after_seg2 == pytest.approx(0.6998865396766997, abs=1e-12)
         assert r2.t1 == pytest.approx(0.1575799341349062, abs=1e-9)
@@ -227,7 +227,7 @@ class TestBoundaryChecks:
         (lambda p: optimize_schedule(p, objective="bogus", n_cycles=1,
                                      cycle1_overrides=REFERENCE_CYCLE1_OVERRIDES),
          "unknown objective"),
-        (lambda p: run_cycle(p, objective="bogus", overrides=(0.5, 0.46)),
+        (lambda p: run_cycle(p, objective="bogus", overrides=CycleOverrides(0.5, 0.46)),
          "unknown objective"),
         (lambda p: optimize_schedule(p, n_cycles=True), "n_cycles must be an integer"),
         (lambda p: optimize_schedule(p, n_cycles=2.5), "n_cycles must be an integer"),
@@ -242,7 +242,7 @@ class TestBoundaryChecks:
         # round to 1 + 2e-16; the rows are results, not inputs to refuse.
         rates = RateParams(k_s=1.0, k_i=0.0)
         s = optimize_schedule(initial_state(rates), rates, n_cycles=2, t_max=50.0,
-                              cycle1_overrides=(0.3, None, PUBLISHED))
+                              cycle1_overrides=CycleOverrides(0.3, None, PUBLISHED))
         assert s.final_purity == pytest.approx(1.0, abs=1e-12)
 
 

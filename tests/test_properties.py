@@ -122,7 +122,9 @@ SCALAR_INPUTS = (
        ("detuning", "hyperfine_split", "t2star", "dt", "n_samples")]
     + [(Spectrum, {"freqs_mhz": np.zeros(2), "values": np.zeros(2)}, "fid_length")])
 
-scalars = st.one_of(st.floats(), st.integers(), st.booleans(), st.text(), st.none())
+# A 2-D array, whose repr spans lines, must still be refused on one line.
+scalars = st.one_of(st.floats(), st.integers(), st.booleans(), st.text(), st.none(),
+                    st.just(np.ones((3, 3))))
 
 
 @pytest.mark.parametrize("entry, others, key", SCALAR_INPUTS,

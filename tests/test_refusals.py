@@ -11,11 +11,12 @@ import pytest
 
 from nvinit.cli import main
 from nvinit.config import ConfigError, OptimizerSettings, parse_config, parse_sequence
-from nvinit.hamiltonian import HamiltonianParams, energy
+from nvinit.hamiltonian import HamiltonianParams, TransitionRef, energy, transition_frequency
 from nvinit.optimizer import CycleOverrides, optimize_laser, optimize_schedule, run_cycle
 from nvinit.pulses import MW_PAIRS, RF_PAIRS, Laser, MwPi, RfPi, initial_state
 from nvinit.spinmodel import (RateParams, propagate, propagate_numeric, propagator,
-                              seg1_reference_solution, seg2_reference_solution)
+                              seg1_reference_solution, seg2_reference_solution,
+                              validate_population)
 from nvinit.tomography import (FidParams, SpectralAmplitudes, Spectrum,
                                calibration_spectrum, extract_amplitudes, spectrum,
                                synthesize_fid)
@@ -168,7 +169,65 @@ P = (1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0)
      "fid_length must be an integer, got 2.0"),
     (parse_config, {"text": "rates: {inv_k_i_us: 0}\n"},
      "rates.inv_k_i_us must be positive, got 0.0"),
+    # A multi-line repr or str is shown on one line.  These used to span 2 to 3 lines.
+    (RateParams, {"k_s": np.zeros((2, 2))},
+     "k_s must be a real number, got array([[0., 0.], [0., 0.]])"),
+    (Laser, {"duration": np.ones((3, 3))}, "laser duration must be a real number, "
+     "got array([[1., 1., 1.], [1., 1., 1.], [1., 1., 1.]])"),
+    (MwPi, {"pair": "a\nb"}, "invalid transition pair for MW pulse: 'a\\nb'"),
+    (energy, {"level": "a\nb"}, "unknown level 'a\\nb'"),
+    (transition_frequency, {"a": "a\nb", "b": "a\nb"},
+     "transition needs two distinct levels, got 'a\\nb' twice"),
+    (TransitionRef, {"pair": np.array([[0, -1], [0, -1]]), "reference_freq": 1.0,
+                     "rabi_freq": 1.0, "kind": "MW"},
+     "MW pair must differ only in m_s: array([[ 0, -1], [ 0, -1]])"),
+    (propagate, {"p": (-0.123456789, 1e-12, 0.5, 0.3, 0.2, 0.123456789), "t": 0.0},
+     "population entries must lie in [0, 1]: "
+     "[-0.123456789, 1e-12, 0.5, 0.3, 0.2, 0.123456789]"),
+    # Overrides are a CycleOverrides or None.  The int used to leak a TypeError, the
+    # dict and the array were read as positional fields, and the tuple was accepted.
+    *[(entry, {first: P, key: value},
+       f"cycle1_overrides must be a CycleOverrides or None, got {shown}")
+      for entry, first, key in ((optimize_schedule, "p0", "cycle1_overrides"),
+                                (run_cycle, "p", "overrides"))
+      for value, shown in ((5, "int"), ((0.5, 0.46), "tuple"), ({"t1": 0.5}, "dict"),
+                           (np.zeros((2, 2)), "ndarray"))],
 ])
 def test_scalar_refused_in_one_line(entry, kwargs, message):
+    with refused(ValueError, message):
+        entry(**kwargs)
+
+
+@pytest.mark.parametrize("entry, kwargs, message", [
+    # Populations are ints or floats and FIDs also complex: other dtypes are refused,
+    # not converted.  The complex population used to lose its imaginary part with
+    # only a ComplexWarning, the bool and text arrays were converted, and the dict
+    # and the list of complex numbers leaked a TypeError.
+    (validate_population, {"p": np.array(P, dtype=complex)},
+     "population vector must hold real numbers, got dtype complex128"),
+    (validate_population, {"p": [False, False, True, False, False, False]},
+     "population vector must hold real numbers, got dtype bool"),
+    (validate_population, {"p": ["0", "0", "1", "0", "0", "0"]},
+     "population vector must hold real numbers, got dtype <U1"),
+    (validate_population, {"p": {"p00": 1.0}},
+     "population vector must hold real numbers, got dtype object"),
+    (validate_population, {"p": [0j, 0j, 1 + 0j, 0j, 0j, 0j]},
+     "population vector must hold real numbers, got dtype complex128"),
+    (propagate, {"p": np.array(P, dtype=complex), "t": 1.0},
+     "population vector must hold real numbers, got dtype complex128"),
+    (optimize_schedule, {"p0": np.array(P, dtype=complex)},
+     "population vector must hold real numbers, got dtype complex128"),
+    (spectrum, {"fid": np.array(["1+2j"] * 256), "fp": FidParams(n_samples=256)},
+     "FID must hold numbers, got dtype <U4"),
+    (spectrum, {"fid": np.ones(256, dtype=bool), "fp": FidParams(n_samples=256)},
+     "FID must hold numbers, got dtype bool"),
+    # Names are str.  The objective used to pass the name check and leak a TypeError
+    # (unhashable), and the strategy was accepted and returned in Schedule.strategy.
+    (optimize_schedule, {"p0": P, "objective": np.array(["p00"])},
+     "unknown objective array(['p00'], dtype='<U3')"),
+    (optimize_schedule, {"p0": P, "strategy": np.array(["blocked"])},
+     "unknown strategy array(['blocked'], dtype='<U7')"),
+])
+def test_array_of_the_wrong_kind_refused(entry, kwargs, message):
     with refused(ValueError, message):
         entry(**kwargs)
