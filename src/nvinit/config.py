@@ -3,10 +3,11 @@
 One YAML schema drives every command.  All keys are optional; omitted
 sections fall back to the built-in defaults (the measured rates and
 spin-Hamiltonian constants).  Unknown keys are rejected with the full
-dotted path so typos surface instead of silently using a default.  Values
-are checked by the library's own rules, the rates by the scalar rule under
-their dotted key.  _read alone opens a document file: a missing or
-non-UTF-8 one is a ConfigError naming its path.
+dotted path so typos surface instead of silently using a default.  One
+reader, _parse_section, reads every mapping from a key table (a rate key
+and its inverse fill one field, so they exclude each other) and checks
+values by the library's own rules.  _read alone opens a document file: a
+missing or non-UTF-8 one is a ConfigError naming its path.
 
     rates:
       k_s_per_us: 3.7037     # or inv_k_s_us: 0.27 (not both)
@@ -82,7 +83,7 @@ class OptimizerSettings:
     cycle1: CycleOverrides = REFERENCE_CYCLE1_OVERRIDES
 
     def __post_init__(self) -> None:
-        _check_rules(self.objective, self.t_max, self.strategy, self.n_cycles)
+        _check_rules(self.objective, self.t_max, self.strategy, self.n_cycles, self.cycle1)
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,6 @@ class Config:
     fid: FidParams = FidParams()
     optimizer: OptimizerSettings = OptimizerSettings()
     output_dir: str = "out"
-
-
-def _check_keys(mapping: dict, allowed, path: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {_join(path, str(key))!r}")
 
 
 def _join(path: str, key: str) -> str:
@@ -148,32 +143,15 @@ def _state_vector(node, path: str):
     return values
 
 
-def _rate(section: dict, direct: str, inverse: str, path: str,
-          default: float, allow_zero: bool) -> float:
-    d_key, i_key = _join(path, direct), _join(path, inverse)
-    if direct in section and inverse in section:
-        raise ConfigError(f"{d_key} and {i_key} are mutually exclusive")
-    if direct not in section and inverse not in section:
-        return default
-    name, key = (inverse, i_key) if inverse in section else (direct, d_key)
-    try:
-        value = _check_number(key, _number(section[name], key), 0,
-                              strict=name == inverse or not allow_zero)
-        return _check_number(f"1 / {key}", 1.0 / value) if name == inverse else value
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _parse_rates(node, path: str) -> RateParams:
-    section = _mapping(node, path)
-    _check_keys(section, {"k_s_per_us", "inv_k_s_us", "k_i_per_us", "inv_k_i_us"},
-                path)
-    defaults = RateParams()
-    k_s = _rate(section, "k_s_per_us", "inv_k_s_us", path, defaults.k_s,
-                allow_zero=False)
-    k_i = _rate(section, "k_i_per_us", "inv_k_i_us", path, defaults.k_i,
-                allow_zero=True)
-    return RateParams(k_s=k_s, k_i=k_i)
+def _rate(strict: bool = False, inverse: bool = False):
+    """Reader of a rate key: a rate >= 0 (> 0 when strict), or a lifetime > 0 when inverse."""
+    def read(node, path: str) -> float:
+        try:
+            value = _check_number(path, _number(node, path), 0, strict=strict or inverse)
+            return _check_number(f"1 / {path}", 1.0 / value) if inverse else value
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return read
 
 
 def _output_dir(node, path: str) -> str:
@@ -183,18 +161,32 @@ def _output_dir(node, path: str) -> str:
 
 
 def _parse_section(node, path: str, table: dict, cls, required: str | None = None):
-    """Build cls from a mapping; table maps each key to (field, reader)."""
+    """Build cls from a mapping; table maps each key to (field, reader), read in table order."""
     section = _mapping(node, path)
-    _check_keys(section, table, path)
+    for key in section:
+        if key not in table:
+            raise ConfigError(f"unknown key {_join(path, str(key))!r}")
     if required is not None and required not in section:
         raise ConfigError(f"{_join(path, required)} is required")
-    kwargs = {field: reader(section[key], _join(path, key))
-              for key, (field, reader) in table.items() if key in section}
+    kwargs = {}
+    for key, (field, reader) in table.items():
+        if key in section:
+            given = [_join(path, k) for k, (f, _) in table.items() if f == field and k in section]
+            if len(given) > 1:      # two keys that fill one field exclude each other
+                raise ConfigError(" and ".join(given) + " are mutually exclusive")
+            kwargs[field] = reader(section[key], _join(path, key))
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
+
+_RATE_KEYS = {
+    "k_s_per_us": ("k_s", _rate(strict=True)),
+    "inv_k_s_us": ("k_s", _rate(inverse=True)),
+    "k_i_per_us": ("k_i", _rate()),
+    "inv_k_i_us": ("k_i", _rate(inverse=True)),
+}
 
 _HAMILTONIAN_KEYS = {
     "d_zfs_mhz": ("d_zfs", _number),
@@ -237,7 +229,7 @@ _OPTIMIZER_KEYS = {
 # section's.
 _ROOT_KEYS = {
     "output_dir": ("output_dir", _output_dir),
-    "rates": ("rates", _parse_rates),
+    "rates": ("rates", _section(_RATE_KEYS, RateParams)),
     "hamiltonian": ("hamiltonian", _section(_HAMILTONIAN_KEYS, HamiltonianParams)),
     "fid": ("fid", _section(_FID_KEYS, FidParams)),
     "optimizer": ("optimizer", _section(_OPTIMIZER_KEYS, OptimizerSettings)),
@@ -299,23 +291,28 @@ def _parse_pulse(node, path: str):
     return _parse_section(entry, path, table, cls, required)
 
 
+def _pulse_list(node, path: str) -> tuple:
+    if node is None:                # null: no pulses
+        return ()
+    if not isinstance(node, list):
+        raise ConfigError(f"{path} must be a list")
+    return tuple(_parse_pulse(entry, f"{path}[{i}]") for i, entry in enumerate(node))
+
+
+_SEQUENCE_KEYS = {
+    "initial_state": ("state", _state_vector),
+    "pulses": ("pulses", _pulse_list),
+}
+
+
 def parse_sequence(text: str):
     """Parse a pulse-sequence document.
 
     Returns
     -------
     (tuple | None, tuple)
-        Optional initial state and the pulse list, in order.  An absent
-        or empty pulse list is allowed (the input state passes through).
+        Optional initial state and the pulse list, in order.  An absent,
+        null or empty pulse list is allowed (the input state passes through).
     """
-    root = _mapping(_load_yaml(text), "")
-    _check_keys(root, {"initial_state", "pulses"}, "")
-    state = _state_vector(root.get("initial_state"), "initial_state")
-    pulses_node = root.get("pulses")
-    if pulses_node is None:
-        return state, ()
-    if not isinstance(pulses_node, list):
-        raise ConfigError("pulses must be a list")
-    pulses = tuple(_parse_pulse(entry, f"pulses[{i}]")
-                   for i, entry in enumerate(pulses_node))
-    return state, pulses
+    return _parse_section(_load_yaml(text), "", _SEQUENCE_KEYS,
+                          lambda state=None, pulses=(): (state, pulses))

@@ -65,7 +65,11 @@ class TransitionRef:
     kind: str
 
     def __post_init__(self) -> None:
-        (ms_a, mi_a), (ms_b, mi_b) = self.pair
+        pair = self.pair    # a non-tuple is refused before it is compared
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and all(isinstance(level, tuple) and level in LEVELS for level in pair)):
+            raise ValueError(f"pair must be two known (m_s, m_I) levels, got {_shown(pair)}")
+        (ms_a, mi_a), (ms_b, mi_b) = pair
         if self.kind == "MW":
             if ms_a == ms_b or mi_a != mi_b:
                 raise ValueError(f"MW pair must differ only in m_s: {_shown(self.pair)}")
@@ -87,7 +91,7 @@ REFERENCE_TRANSITIONS = (
 
 def energy(level: tuple[int, int], params: HamiltonianParams = HamiltonianParams()) -> float:
     """Energy of |m_s, m_I> in MHz."""
-    if level not in LEVELS:
+    if not isinstance(level, tuple) or level not in LEVELS:     # an array is never compared
         raise ValueError(f"unknown level {_shown(level)}")
     ms, mi = level
     return (params.d_zfs * ms * ms
@@ -100,9 +104,10 @@ def energy(level: tuple[int, int], params: HamiltonianParams = HamiltonianParams
 def transition_frequency(a: tuple[int, int], b: tuple[int, int],
                          params: HamiltonianParams = HamiltonianParams()) -> float:
     """Absolute energy difference |E(a) - E(b)| in MHz."""
+    e_a, e_b = energy(a, params), energy(b, params)     # both levels checked before a == b
     if a == b:
         raise ValueError(f"transition needs two distinct levels, got {_shown(a)} twice")
-    return abs(energy(a, params) - energy(b, params))
+    return abs(e_a - e_b)
 
 
 def transition_table(params: HamiltonianParams = HamiltonianParams()):

@@ -11,23 +11,22 @@ one fold over a list of laser passes, ordered by the strategy:
 
 Both objectives are linear functionals w . p of the state, so along a
 laser pulse each is a constant plus three exponential modes with at most
-one stationary point, found in closed form: the optimum over a duration
-interval is at an end or at that point.  The line search only chooses;
-the fold alone runs each pulse once, through apply_pulse's unchecked
-step.  Public functions check their inputs once, and identical inputs
-give bit-identical schedules.
+one stationary point, spinmodel._stationary_time: the optimum over a
+duration interval is at an end or at that point.  The line search only
+chooses; the fold alone runs each pulse once, through apply_pulse's
+unchecked step.  Public functions check their inputs once, and identical
+inputs give bit-identical schedules.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .pulses import _SWAPS, _step
-from .spinmodel import (_MODES, RateParams, _check_number, _line_coefficients,
-                        _mode_weights, _propagate, _shown, validate_population)
+from .spinmodel import (_MODES, RateParams, _check_number, _mode_weights, _propagate,
+                        _shown, _stationary_time, validate_population)
 
 __all__ = [
     "P00",
@@ -59,10 +58,11 @@ _WEIGHTS = {P00: np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
 
 
 def _check_rules(objective: str, t_max: float = 10.0, strategy: str = INTERLEAVED,
-                 n_cycles: int = 1) -> np.ndarray:
+                 n_cycles: int = 1, overrides=None) -> np.ndarray:
     """The one check of the schedule rules; returns the objective's weights.
 
     Every public optimizer function and config.OptimizerSettings call it first.
+    overrides, the first-cycle overrides, is a CycleOverrides or None.
     """
     _check_number("t_max", t_max, 0, strict=True)
     # Names must be str: an array would compare elementwise and pass.
@@ -71,6 +71,10 @@ def _check_rules(objective: str, t_max: float = 10.0, strategy: str = INTERLEAVE
     if not isinstance(strategy, str) or strategy not in (INTERLEAVED, BLOCKED):
         raise ValueError(f"unknown strategy {_shown(strategy)}")
     _check_number("n_cycles", n_cycles, 1, 20, integer=True)
+    if overrides is not None and not isinstance(overrides, CycleOverrides):
+        # A type name: an array's repr spans lines.
+        raise ValueError("cycle1_overrides must be a CycleOverrides or None, "
+                         f"got {type(overrides).__name__}")
     return _WEIGHTS[objective]
 
 
@@ -139,12 +143,10 @@ def optimize_laser(p_post_swaps, rates: RateParams = RateParams(),
                    objective: str = P00, t_max: float = 10.0):
     """Best laser duration for a state that already had its swaps applied.
 
-    Along the pulse the objective is f(t) = c0 + e^{-m t} [A + B e^{-g t}
-    + C phi_1(t)] (see spinmodel.propagator), and f'(t) = 0 has at most
-    one root: e^{-g t} = 1 + g K / D with K = m A - C + (m + g) B and
-    D = g (C - (m + g) B) + m C, whose g -> 0 limit t = -K / D holds at
-    g = 0.  The candidates 0, that root when in (0, t_max) and t_max are
-    scored on that expansion, ties within 1e-6 going to the shortest (an
+    Along the pulse the objective is a constant plus three exponential
+    modes with at most one stationary point, spinmodel._stationary_time.
+    The candidates 0, that point when below t_max and t_max are scored on
+    the four-mode expansion, ties within 1e-6 going to the shortest (an
     already-pumped state yields t* = 0); only the winner is propagated.
     An unknown objective is refused before anything is propagated.
 
@@ -161,14 +163,8 @@ def optimize_laser(p_post_swaps, rates: RateParams = RateParams(),
 def _line_search(w: np.ndarray, p: np.ndarray, rates: RateParams, t_max: float) -> float:
     """optimize_laser's duration on a checked state and weight; propagates nothing."""
     modes = _MODES @ p @ w
-    _, a, b, c, m, g = _line_coefficients(modes, rates)
-    k = m * a - c + (m + g) * b
-    d = g * (c - (m + g) * b) + m * c
-    durations = [float(t_max)]
-    if d != 0.0 and g * k / d > -1.0:
-        t_root = -math.log1p(g * k / d) / g if g > 0.0 else -k / d
-        if 0.0 < t_root < t_max:
-            durations.insert(0, t_root)
+    t_root = _stationary_time(modes, rates)
+    durations = ([t_root] if t_root is not None and t_root < t_max else []) + [float(t_max)]
     # propagator(0) is exactly the identity, so t = 0 scores p itself.
     scored = [(0.0, float(w @ p))]
     scored += [(t, float(_mode_weights(t, rates) @ modes)) for t in durations]
@@ -232,11 +228,8 @@ def optimize_schedule(p0, rates: RateParams = RateParams(), objective: str = P00
         schedule row i pairs the i-th seg1 pass with the i-th seg2 pass
         even though all seg1 passes run first.
     """
-    w = _check_rules(objective, t_max, strategy, n_cycles)
+    w = _check_rules(objective, t_max, strategy, n_cycles, cycle1_overrides)
     ov1 = CycleOverrides() if cycle1_overrides is None else cycle1_overrides
-    if not isinstance(ov1, CycleOverrides):     # a type name: an array's repr spans lines
-        raise ValueError("cycle1_overrides must be a CycleOverrides or None, "
-                         f"got {type(ov1).__name__}")
     seg2_start = ov1.seg2_start if strategy == INTERLEAVED else None
     firsts = [(0, ov1.t1, None)] + [(0, None, None)] * (n_cycles - 1)
     seconds = [(1, ov1.t2, seg2_start)] + [(1, None, None)] * (n_cycles - 1)

@@ -1,9 +1,9 @@
 """Pulse and segment primitives of the initialization sequence.
 
-MW and RF pi pulses are modeled as ideal population swaps on one of the
-four addressed transitions; the laser pulse is the only continuous
-dynamics and is delegated to the rate model.  seg1 polishes the m_I=-1
-population into |0,0>, seg2 does the same for m_I=+1:
+MW and RF pi pulses are ideal swaps on one of the four addressed
+transitions (one _Swap record; MwPi and RfPi set only kind and pairs);
+the laser pulse, the only continuous dynamics, is the rate model's.
+seg1 polishes the m_I=-1 population into |0,0>, seg2 that of m_I=+1:
 
     seg1 = [MW (0,-1)<->(-1,-1), RF (-1,-1)<->(-1,0), laser t1]
     seg2 = [MW (0,+1)<->(-1,+1), RF (-1,+1)<->(-1,0), laser t2]
@@ -44,37 +44,35 @@ MW_PAIRS, RF_PAIRS = (tuple(ref.pair for ref in REFERENCE_TRANSITIONS if ref.kin
                       for kind in ("MW", "RF"))
 
 
-def _check_swap(pulse, allowed, kind: str) -> None:
-    # Compared by equality, never hashed, so a list is refused like any other non-pair.
-    if not any(pulse.pair in (pair, pair[::-1]) for pair in allowed):
-        raise ValueError(f"invalid transition pair for {kind}: {_shown(pulse.pair)}")
-    _check_number("swap_fidelity", pulse.swap_fidelity, 0, 1)
-
-
 @dataclass(frozen=True)
-class MwPi:
-    """Ideal microwave pi swap on one of the two MW transitions.
+class _Swap:
+    """Ideal pi swap on one of its kind's allowed transitions, in either order.
 
     swap_fidelity f in [0, 1] mixes the two populations:
     p_a' = (1-f) p_a + f p_b and symmetrically.  f=1 is a clean swap.
+    A subclass sets its _kind ("MW" or "RF") and its allowed _pairs.
     """
 
     pair: Pair
     swap_fidelity: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_swap(self, MW_PAIRS, "MW pulse")
+        pair = self.pair    # compared by equality, never hashed; a non-tuple is refused first
+        if not isinstance(pair, tuple) or not any(pair in (p, p[::-1]) for p in self._pairs):
+            raise ValueError(f"invalid transition pair for {self._kind} pulse: {_shown(pair)}")
+        _check_number("swap_fidelity", self.swap_fidelity, 0, 1)
 
 
-@dataclass(frozen=True)
-class RfPi:
-    """Ideal radio-frequency pi swap on one of the two RF transitions."""
+class MwPi(_Swap):
+    """Ideal microwave pi swap on one of the two MW transitions (see _Swap)."""
 
-    pair: Pair
-    swap_fidelity: float = 1.0
+    _kind, _pairs = "MW", MW_PAIRS
 
-    def __post_init__(self) -> None:
-        _check_swap(self, RF_PAIRS, "RF pulse")
+
+class RfPi(_Swap):
+    """Ideal radio-frequency pi swap on one of the two RF transitions (see _Swap)."""
+
+    _kind, _pairs = "RF", RF_PAIRS
 
 
 @dataclass(frozen=True)
@@ -124,9 +122,7 @@ def seg2(t2: float) -> Segment:
 def _describe(pulse: Pulse) -> str:
     if isinstance(pulse, Laser):
         return f"laser {pulse.duration:g} us"
-    kind = "MW pi" if isinstance(pulse, MwPi) else "RF pi"
-    (a, b) = pulse.pair
-    return f"{kind} {a}<->{b}"
+    return f"{pulse._kind} pi {pulse.pair[0]}<->{pulse.pair[1]}"
 
 
 def _step(state: np.ndarray, pulse: Pulse, rates: RateParams) -> np.ndarray:

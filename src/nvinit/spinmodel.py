@@ -8,8 +8,8 @@ m_I in {-1, +1, 0}.  Canonical index order of the population vector:
 During laser illumination the electron repolarizes (-1 -> 0) at rate k_s
 while the nuclear spin hops between the m_I levels of the m_s=0 manifold
 at rate k_i.  All times are in microseconds, rates in 1/us.  Under the
-laser exp(M t) is four constant matrices, _MODES, against four weights
-of t (see propagator), each declared once.
+laser exp(M t) is four constant _MODES against four weights of t (see
+propagator); _stationary_time solves where w . exp(M t) p is stationary.
 
 _check_number, defined here, is the package's one rule for a public
 scalar input (a rate, a duration, a count, a record field): a finite real
@@ -231,19 +231,25 @@ def _closed_form(t: float, rates: RateParams) -> np.ndarray:
     return (_mode_weights(t, rates) @ _MODES.reshape(4, 36)).reshape(6, 6)
 
 
-def _line_coefficients(modes: np.ndarray, rates: RateParams) -> tuple:
-    """Coefficients of f(t) = w . propagator(t) @ p, given modes = _MODES @ p @ w.
+def _stationary_time(modes: np.ndarray, rates: RateParams) -> float | None:
+    """The t > 0 where f(t) = _mode_weights(t, rates) @ modes is stationary, or None.
 
-    f(t) = _mode_weights(t) @ modes = c0 + e^{-m t} [A + B e^{-g t} + C phi_1(t)]
-    with m = min(k_s, 3k_i), g = |3k_i - k_s| and phi_1 as in propagator:
-    c0 = w P0 p, C = k_s w Pc p, and A, B are w P3 p and w Ps p, the
-    slower decay first.  Returns (c0, A, B, C, m, g) as floats.
+    For modes = _MODES @ p @ w, f(t) = w . propagator(t) @ p = c0 + e^{-m t} [A +
+    B e^{-g t} + C phi_1(t)]: m = min(k_s, 3k_i), g = |3k_i - k_s|, phi_1 as in
+    propagator, C = k_s w Pc p, and A, B are w P3 p and w Ps p, the slower decay
+    first.  f'(t) = 0 has at most one root, e^{-g t} = 1 + g K / D with K = m A -
+    C + (m + g) B and D = g (C - (m + g) B) + m C; at g = 0 its limit t = -K / D.
     """
     ks, ki = rates.k_s, rates.k_i
-    c0, nuclear, electron, feed = modes
+    _, nuclear, electron, feed = modes.tolist()
     a, b = (nuclear, electron) if 3.0 * ki <= ks else (electron, nuclear)
-    return (float(c0), float(a), float(b), float(ks * feed),
-            min(ks, 3.0 * ki), abs(3.0 * ki - ks))
+    c, m, g = ks * feed, min(ks, 3.0 * ki), abs(3.0 * ki - ks)
+    k = m * a - c + (m + g) * b
+    d = g * (c - (m + g) * b) + m * c
+    if d == 0.0 or g * k / d <= -1.0:
+        return None
+    t = -math.log1p(g * k / d) / g if g > 0.0 else -k / d
+    return t if t > 0.0 else None
 
 
 def _propagate(vec: np.ndarray, t: float, rates: RateParams) -> np.ndarray:

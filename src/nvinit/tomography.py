@@ -132,6 +132,8 @@ class Spectrum:
             array = getattr(self, name)
             if not isinstance(array, np.ndarray):
                 raise ValueError(f"{name} must be a numpy array, got {type(array).__name__}")
+            if array.dtype.kind not in "iufc":      # text would fail only at extraction
+                raise ValueError(f"{name} must hold numbers, got dtype {array.dtype}")
         if self.freqs_mhz.shape != self.values.shape:
             raise ValueError("frequency grid and values must have equal length")
         _check_number("fid_length", self.fid_length, 1, integer=True)
@@ -143,9 +145,7 @@ class Spectrum:
 def amplitudes(p) -> SpectralAmplitudes:
     """Direct spectral amplitudes of a population vector."""
     vec = validate_population(p)
-    return SpectralAmplitudes(a_minus1=vec[0] - vec[3],
-                              a_plus1=vec[1] - vec[4],
-                              a_zero=vec[2] - vec[5])
+    return SpectralAmplitudes(*(vec[:3] - vec[3:]))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -40,6 +40,19 @@ class TestRates:
                            match="rates.k_s_per_us and rates.inv_k_s_us"):
             parse_config("rates:\n  k_s_per_us: 2.0\n  inv_k_s_us: 0.5\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("rates:\n  inv_k_s_us: 0.5\n  k_s_per_us: 2.0\n",
+         "rates.k_s_per_us and rates.inv_k_s_us are mutually exclusive"),
+        ("rates:\n  inv_k_i_us: 1.0\n  k_i_per_us: 2.0\n",
+         "rates.k_i_per_us and rates.inv_k_i_us are mutually exclusive"),
+        # k_s is read before the k_i keys are looked at, whatever the YAML order.
+        ("rates:\n  inv_k_i_us: 1.0\n  k_i_per_us: 2.0\n  k_s_per_us: -1\n",
+         "rates.k_s_per_us must be positive, got -1.0"),
+    ])
+    def test_twin_keys_are_checked_in_table_order(self, text, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            parse_config(text)
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ConfigError, match="rates.k_s_per_us"):
             parse_config("rates:\n  k_s_per_us: 0\n")
@@ -257,6 +270,11 @@ class TestParseSequence:
 
     def test_empty_document(self):
         assert parse_sequence("") == (None, ())
+
+    def test_null_pulses_mean_none(self):
+        state = "initial_state: [0.07, 0.33, 0.55, 0.0, 0.0, 0.05]\n"
+        assert parse_sequence(state + "pulses: null\n") == (
+            (0.07, 0.33, 0.55, 0.0, 0.0, 0.05), ())
 
     def test_pulses_without_state(self):
         state, pulses = parse_sequence("pulses:\n  - {kind: laser, duration_us: 1}\n")

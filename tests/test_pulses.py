@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,22 @@ def test_pulse_pair_validation():
     # either orientation of a legal pair is accepted
     MwPi(((-1, -1), (0, -1)))
     RfPi(((-1, 0), (-1, +1)))
+
+
+def test_swap_records_keep_their_dataclass_behaviour():
+    mw, rf = MwPi(MW_PAIRS[0]), RfPi(RF_PAIRS[1], 0.5)
+    assert repr(mw) == "MwPi(pair=((0, -1), (-1, -1)), swap_fidelity=1.0)"
+    assert repr(rf) == "RfPi(pair=((-1, 1), (-1, 0)), swap_fidelity=0.5)"
+    assert mw == MwPi(((0, -1), (-1, -1)), 1.0) and mw != MwPi(MW_PAIRS[0], 0.5)
+    assert mw != rf and mw != (MW_PAIRS[0], 1.0)
+    assert hash(mw) == hash((MW_PAIRS[0], 1.0)) and len({mw, MwPi(MW_PAIRS[0])}) == 1
+    assert dataclasses.replace(rf, swap_fidelity=1.0) == RfPi(RF_PAIRS[1])
+    assert type(dataclasses.replace(mw)) is MwPi
+    assert [f.name for f in dataclasses.fields(rf)] == ["pair", "swap_fidelity"]
+    with pytest.raises(ValueError, match="^invalid transition pair for MW pulse: "):
+        dataclasses.replace(mw, pair=RF_PAIRS[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rf.swap_fidelity = 1.0
 
 
 def test_pulse_parameter_validation():

@@ -95,6 +95,7 @@ def test_cli_unhashable_pulse_kind(tmp_path, capsys):
 
 
 AMPS = {"a_minus1": 0.1, "a_plus1": 0.2, "a_zero": 0.3}
+REF = {"reference_freq": 1.0, "rabi_freq": 1.0, "kind": "MW"}
 
 
 @pytest.mark.parametrize("record, kwargs, message", [
@@ -176,11 +177,23 @@ P = (1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0)
      "got array([[1., 1., 1.], [1., 1., 1.], [1., 1., 1.]])"),
     (MwPi, {"pair": "a\nb"}, "invalid transition pair for MW pulse: 'a\\nb'"),
     (energy, {"level": "a\nb"}, "unknown level 'a\\nb'"),
-    (transition_frequency, {"a": "a\nb", "b": "a\nb"},
-     "transition needs two distinct levels, got 'a\\nb' twice"),
-    (TransitionRef, {"pair": np.array([[0, -1], [0, -1]]), "reference_freq": 1.0,
-                     "rabi_freq": 1.0, "kind": "MW"},
-     "MW pair must differ only in m_s: array([[ 0, -1], [ 0, -1]])"),
+    (transition_frequency, {"a": "a\nb", "b": "a\nb"}, "unknown level 'a\\nb'"),
+    (TransitionRef, {"pair": np.array([[0, -1], [0, -1]]), **REF},
+     "pair must be two known (m_s, m_I) levels, got array([[ 0, -1], [ 0, -1]])"),
+    # A level or a pair that is not a tuple is refused before it is compared.  These
+    # used to leak numpy's "truth value ... is ambiguous" or a TypeError, or were accepted.
+    (energy, {"level": np.zeros(2)}, "unknown level array([0., 0.])"),
+    (MwPi, {"pair": np.zeros((2, 2))},
+     "invalid transition pair for MW pulse: array([[0., 0.], [0., 0.]])"),
+    (transition_frequency, {"a": np.zeros(2), "b": np.ones(2)},
+     "unknown level array([0., 0.])"),
+    (transition_frequency, {"a": (0, 0), "b": (0, 0)},
+     "transition needs two distinct levels, got (0, 0) twice"),
+    (TransitionRef, {"pair": 5, **REF}, "pair must be two known (m_s, m_I) levels, got 5"),
+    (TransitionRef, {"pair": ((0, 7), (-1, 7)), **REF},
+     "pair must be two known (m_s, m_I) levels, got ((0, 7), (-1, 7))"),
+    (OptimizerSettings, {"cycle1": 5},
+     "cycle1_overrides must be a CycleOverrides or None, got int"),
     (propagate, {"p": (-0.123456789, 1e-12, 0.5, 0.3, 0.2, 0.123456789), "t": 0.0},
      "population entries must lie in [0, 1]: "
      "[-0.123456789, 1e-12, 0.5, 0.3, 0.2, 0.123456789]"),
@@ -221,6 +234,9 @@ def test_scalar_refused_in_one_line(entry, kwargs, message):
      "FID must hold numbers, got dtype <U4"),
     (spectrum, {"fid": np.ones(256, dtype=bool), "fp": FidParams(n_samples=256)},
      "FID must hold numbers, got dtype bool"),
+    # A Spectrum of text used to be built and leak numpy's UFuncTypeError at extraction.
+    (Spectrum, {"freqs_mhz": np.zeros(2), "values": np.array(["1", "2"]), "fid_length": 2},
+     "values must hold numbers, got dtype <U1"),
     # Names are str.  The objective used to pass the name check and leak a TypeError
     # (unhashable), and the strategy was accepted and returned in Schedule.strategy.
     (optimize_schedule, {"p0": P, "objective": np.array(["p00"])},

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nvinit.spinmodel import (_MODES, RateParams, _line_coefficients, _mode_weights,
+from nvinit.spinmodel import (_MODES, RateParams, _mode_weights, _stationary_time,
                               propagate, propagate_numeric, propagator, rate_matrix,
                               seg1_reference_solution, seg2_reference_solution,
                               steady_state, validate_population)
@@ -183,18 +183,52 @@ class TestModes:
             _MODES[0, 0, 0] = 1.0
 
 
-class TestLineCoefficients:
-    def test_rebuild_the_weighted_propagator(self):
-        # w . U(t) p = c0 + e^{-m t} [A + B e^{-g t} + C phi_1(t)]
-        rng = np.random.default_rng(8)
-        for rates in (RateParams(), RateParams(k_s=0.75, k_i=0.25), RateParams(k_i=0.0)):
-            for _ in range(10):
-                w, p = rng.normal(size=6), random_simplex(rng)
-                c0, a, b, c, m, g = _line_coefficients(_MODES @ p @ w, rates)
-                for t in (0.0, 0.3, 2.0, 20.0):
-                    phi1 = -np.expm1(-g * t) / g if g > 0.0 else t
-                    f = c0 + np.exp(-m * t) * (a + b * np.exp(-g * t) + c * phi1)
-                    assert abs(f - w @ propagator(t, rates) @ p) <= 1e-14
+class TestStationaryTime:
+    # f(t) = _mode_weights(t) @ modes is w . propagator(t) @ p for modes = _MODES @ p @ w.
+    DEFAULT, NO_HOPPING = RateParams(), RateParams(k_i=0.0)
+    DEGENERATE = RateParams(k_s=0.75, k_i=0.25)     # 3k_i = k_s
+
+    def draws(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            w, p = rng.normal(size=6), random_simplex(rng)
+            yield w, _MODES @ p @ w
+
+    @pytest.mark.parametrize("rates", [DEFAULT, DEGENERATE], ids=["default", "3ki=ks"])
+    def test_slope_vanishes_at_the_stationary_time(self, rates):
+        assert 3.0 * self.DEGENERATE.k_i == self.DEGENERATE.k_s
+        found = 0
+        for w, modes in self.draws(8):
+            t = _stationary_time(modes, rates)
+            if t is None:
+                continue
+            found += 1
+            assert t > 0.0
+            h = 1e-5
+            slope = (_mode_weights(t + h, rates) @ modes
+                     - _mode_weights(t - h, rates) @ modes) / (2.0 * h)
+            # at most 2e-11 here, while at t / 2 the slope is above 1e-3 of this scale
+            assert abs(slope) <= 1e-9 * np.abs(w).max() * rates.k_s
+        assert found >= 30
+
+    @pytest.mark.parametrize("rates", [DEFAULT, NO_HOPPING], ids=["default", "ki=0"])
+    def test_none_when_the_slope_keeps_its_sign(self, rates):
+        # At k_i = 0, f is a constant plus one exponential, so every draw is None.
+        grid = np.linspace(0.0, 20.0, 401)
+        nones = 0
+        for w, modes in self.draws(9):
+            if _stationary_time(modes, rates) is not None:
+                continue
+            nones += 1
+            f = np.array([_mode_weights(t, rates) @ modes for t in grid])
+            steps = np.diff(f)[np.abs(np.diff(f)) > 1e-15]
+            assert (steps > 0).all() or (steps < 0).all()
+        assert nones == 100 if rates is self.NO_HOPPING else nones >= 30
+
+    def test_none_for_a_pumped_state(self):
+        # p00 of the steady state is constant: every mode but the first is 0 up to rounding.
+        modes = _MODES @ STEADY @ np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        assert _stationary_time(modes, self.DEFAULT) is None
 
 
 class TestPropagate:
