@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .spinmodel import LEVELS, _check_number, _shown
+from .spinmodel import _check_number, _check_record, _is_level, _shown
 
 __all__ = [
     "HamiltonianParams",
@@ -65,9 +65,8 @@ class TransitionRef:
     kind: str
 
     def __post_init__(self) -> None:
-        pair = self.pair    # a non-tuple is refused before it is compared
-        if not (isinstance(pair, tuple) and len(pair) == 2
-                and all(isinstance(level, tuple) and level in LEVELS for level in pair)):
+        pair = self.pair    # each level a tuple of two integers before it is compared
+        if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_level, pair))):
             raise ValueError(f"pair must be two known (m_s, m_I) levels, got {_shown(pair)}")
         (ms_a, mi_a), (ms_b, mi_b) = pair
         if self.kind == "MW":
@@ -91,8 +90,9 @@ REFERENCE_TRANSITIONS = (
 
 def energy(level: tuple[int, int], params: HamiltonianParams = HamiltonianParams()) -> float:
     """Energy of |m_s, m_I> in MHz."""
-    if not isinstance(level, tuple) or level not in LEVELS:     # an array is never compared
+    if not _is_level(level):
         raise ValueError(f"unknown level {_shown(level)}")
+    _check_record("params", params, HamiltonianParams)
     ms, mi = level
     return (params.d_zfs * ms * ms
             - params.gamma_e * params.b_field * ms

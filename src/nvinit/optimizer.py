@@ -12,10 +12,10 @@ one fold over a list of laser passes, ordered by the strategy:
 Both objectives are linear functionals w . p of the state, so along a
 laser pulse each is a constant plus three exponential modes with at most
 one stationary point, spinmodel._stationary_time: the optimum over a
-duration interval is at an end or at that point.  The line search only
-chooses; the fold alone runs each pulse once, through apply_pulse's
-unchecked step.  Public functions check their inputs once, and identical
-inputs give bit-identical schedules.
+duration interval is at an end or at that point.  A pass projects its
+state onto the laser modes once: the line search scores from it and the
+one laser step reads it.  Public functions check their inputs once, and
+identical inputs give bit-identical schedules.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .pulses import _SWAPS, _step
-from .spinmodel import (_MODES, RateParams, _check_number, _mode_weights, _propagate,
-                        _shown, _stationary_time, validate_population)
+from .spinmodel import (_MODES, RateParams, _check_number, _check_record, _mode_weights,
+                        _propagate, _shown, _stationary_time, validate_population)
 
 __all__ = [
     "P00",
@@ -156,20 +156,22 @@ def optimize_laser(p_post_swaps, rates: RateParams = RateParams(),
         Optimal duration t_star in us and the objective value there.
     """
     w, p = _check_rules(objective, t_max), validate_population(p_post_swaps)
-    t = _line_search(w, p, rates, t_max)
-    return t, float(w @ _propagate(p, t, rates))
+    _check_record("rates", rates, RateParams)
+    t, *given = _line_search(w, p, rates, t_max)
+    return t, float(w @ _propagate(p, t, rates, *given))
 
 
-def _line_search(w: np.ndarray, p: np.ndarray, rates: RateParams, t_max: float) -> float:
-    """optimize_laser's duration on a checked state and weight; propagates nothing."""
-    modes = _MODES @ p @ w
+def _line_search(w: np.ndarray, p: np.ndarray, rates: RateParams, t_max: float) -> tuple:
+    """optimize_laser's (t, _MODES @ p, _mode_weights(t) or None at t = 0); propagates nothing."""
+    proj = _MODES @ p
+    m0, m1, m2, m3 = modes = (proj @ w).tolist()
     t_root = _stationary_time(modes, rates)
-    durations = ([t_root] if t_root is not None and t_root < t_max else []) + [float(t_max)]
-    # propagator(0) is exactly the identity, so t = 0 scores p itself.
-    scored = [(0.0, float(w @ p))]
-    scored += [(t, float(_mode_weights(t, rates) @ modes)) for t in durations]
-    top = max(value for _, value in scored)
-    return next(t for t, value in scored if value >= top - _TIE_TOL)
+    scored = [(m0 + m1 + m2, 0.0, None)]      # weights (1, 1, 1, 0): propagator(0) is I
+    for t in ([t_root] if t_root is not None and t_root < t_max else []) + [float(t_max)]:
+        a, b, c, d = weights = _mode_weights(t, rates)
+        scored.append((a * m0 + b * m1 + c * m2 + d * m3, t, weights))
+    top = max(value for value, _, _ in scored)
+    return next((t, proj, weights) for value, t, weights in scored if value >= top - _TIE_TOL)
 
 
 def _fold(state: np.ndarray, passes, rates: RateParams, w: np.ndarray, t_max: float) -> tuple:
@@ -187,8 +189,8 @@ def _fold(state: np.ndarray, passes, rates: RateParams, w: np.ndarray, t_max: fl
             state = np.asarray(start, dtype=float)
         for pulse in _SWAPS[k]:
             state = _step(state, pulse, rates)
-        t = t_pinned if t_pinned is not None else _line_search(w, state, rates, t_max)
-        state = _propagate(state, t, rates)
+        t, *given = (t_pinned,) if t_pinned is not None else _line_search(w, state, rates, t_max)
+        state = _propagate(state, t, rates, *given)
         done[k].append((t, float(state[2]), state))
     return tuple(
         CycleResult(cycle=i, t1=t1, purity_after_seg1=purity1,
@@ -229,6 +231,7 @@ def optimize_schedule(p0, rates: RateParams = RateParams(), objective: str = P00
         even though all seg1 passes run first.
     """
     w = _check_rules(objective, t_max, strategy, n_cycles, cycle1_overrides)
+    _check_record("rates", rates, RateParams)
     ov1 = CycleOverrides() if cycle1_overrides is None else cycle1_overrides
     seg2_start = ov1.seg2_start if strategy == INTERLEAVED else None
     firsts = [(0, ov1.t1, None)] + [(0, None, None)] * (n_cycles - 1)

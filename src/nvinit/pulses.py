@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import REFERENCE_TRANSITIONS
-from .spinmodel import (LEVEL_INDEX, RateParams, _check_number, _propagate, _shown,
-                        validate_population)
+from .spinmodel import (LEVEL_INDEX, RateParams, _check_number, _check_record, _is_level,
+                        _propagate, _shown, validate_population)
 
 __all__ = [
     "MwPi",
@@ -57,10 +57,13 @@ class _Swap:
     swap_fidelity: float = 1.0
 
     def __post_init__(self) -> None:
-        pair = self.pair    # compared by equality, never hashed; a non-tuple is refused first
-        if not isinstance(pair, tuple) or not any(pair in (p, p[::-1]) for p in self._pairs):
+        pair = self.pair    # each level a tuple of two integers before it is compared
+        if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_level, pair))
+                and any(pair in (p, p[::-1]) for p in self._pairs)):
             raise ValueError(f"invalid transition pair for {self._kind} pulse: {_shown(pair)}")
-        _check_number("swap_fidelity", self.swap_fidelity, 0, 1)
+        f = float(_check_number("swap_fidelity", self.swap_fidelity, 0, 1))
+        # The step's indices and f, resolved once; not a field, so repr, eq and hash ignore it.
+        object.__setattr__(self, "_resolved", (LEVEL_INDEX[pair[0]], LEVEL_INDEX[pair[1]], f))
 
 
 class MwPi(_Swap):
@@ -94,6 +97,11 @@ class Segment:
 
     label: str
     pulses: tuple = ()
+
+    def __post_init__(self) -> None:
+        for i, pulse in enumerate(_check_record("segment pulses", self.pulses, tuple)):
+            if not isinstance(pulse, (MwPi, RfPi, Laser)):     # the name is built only to refuse
+                _check_record(f"pulses[{i}]", pulse, MwPi, RfPi, Laser)
 
 
 @dataclass(frozen=True)
@@ -129,13 +137,11 @@ def _step(state: np.ndarray, pulse: Pulse, rates: RateParams) -> np.ndarray:
     """One pulse on an already validated state; it is not checked again."""
     if isinstance(pulse, Laser):
         return _propagate(state, pulse.duration, rates)
-    i = LEVEL_INDEX[pulse.pair[0]]
-    j = LEVEL_INDEX[pulse.pair[1]]
-    f = pulse.swap_fidelity
-    out = state.copy()
-    out[i] = (1.0 - f) * state[i] + f * state[j]
-    out[j] = (1.0 - f) * state[j] + f * state[i]
-    return out
+    i, j, f = pulse._resolved
+    values = state.tolist()     # Python floats: the IEEE products numpy makes, at less cost
+    a, b = values[i], values[j]
+    values[i], values[j] = (1.0 - f) * a + f * b, (1.0 - f) * b + f * a
+    return np.array(values)
 
 
 def apply_pulse(p, pulse: Pulse, rates: RateParams = RateParams()) -> np.ndarray:
@@ -144,7 +150,8 @@ def apply_pulse(p, pulse: Pulse, rates: RateParams = RateParams()) -> np.ndarray
     Swaps exchange exactly two entries (softened by swap_fidelity); a
     laser pulse propagates the full vector under the rate model.
     """
-    return _step(validate_population(p), pulse, rates)
+    return _step(validate_population(p), _check_record("pulse", pulse, MwPi, RfPi, Laser),
+                 _check_record("rates", rates, RateParams))
 
 
 def run_segment(p, segment: Segment, rates: RateParams = RateParams()):
@@ -156,6 +163,8 @@ def run_segment(p, segment: Segment, rates: RateParams = RateParams()):
         The final state and one trace record per pulse.
     """
     state = validate_population(p)
+    _check_record("segment", segment, Segment)
+    _check_record("rates", rates, RateParams)
     trace = []
     for idx, pulse in enumerate(segment.pulses):
         state = _step(state, pulse, rates)
@@ -176,6 +185,7 @@ def initial_state(rates: RateParams = RateParams(), init_laser: float = 5.0) -> 
     for init_laser us.  With the default 5 us this lands within 1e-4 of
     (1/3, 1/3, 1/3, 0, 0, 0).
     """
+    _check_record("rates", rates, RateParams)
     _check_number("init_laser", init_laser, 0, strict=True)
     mixed = np.full(6, 1.0 / 6.0)
     return _propagate(mixed, init_laser, rates)

@@ -13,7 +13,9 @@ propagator); _stationary_time solves where w . exp(M t) p is stationary.
 
 _check_number, defined here, is the package's one rule for a public
 scalar input (a rate, a duration, a count, a record field): a finite real
-number in its range, else a one-line ValueError naming it.
+number in its range, else a one-line ValueError naming it.  Its siblings
+_check_record (a record argument of the right type) and _is_level (a
+tuple of two integers, never an array compared) guard the other inputs.
 """
 
 from __future__ import annotations
@@ -104,6 +106,21 @@ def _check_number(name: str, value, low: float = -math.inf, high: float = math.i
     return value
 
 
+def _check_record(name: str, value, *kinds: type):
+    """Return value when it is one of kinds, else refuse it in one line naming its type."""
+    if not isinstance(value, kinds):
+        wanted = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{name} must be a {wanted}, got {type(value).__name__}")
+    return value
+
+
+def _is_level(level) -> bool:
+    """True for one of LEVELS as a tuple of two ints (numpy's too); an array is never compared."""
+    return (isinstance(level, tuple) and len(level) == 2
+            and all(isinstance(q, (int, np.integer)) and not isinstance(q, bool) for q in level)
+            and level in LEVEL_INDEX)
+
+
 @dataclass(frozen=True)
 class RateParams:
     """Optical pumping rates in 1/us.
@@ -156,7 +173,7 @@ def validate_population(p) -> np.ndarray:
 
 def _clamp_dust(p: np.ndarray) -> np.ndarray:
     """Zero out negative dust down to validate_population's -1e-9; below is a bug."""
-    low = p.min()
+    low = min(p.tolist())   # a Python min: ndarray.min costs several times more on 6 entries
     if low < -_SUM_TOL:
         raise ValueError(f"propagation produced a negative population {low!r}")
     if low < 0.0:           # the largest entry pays for the zeroed dust: the sum is kept
@@ -179,7 +196,7 @@ def rate_matrix(rates: RateParams = RateParams()) -> np.ndarray:
     numpy.ndarray, shape (6, 6)
         All column sums are exactly zero.
     """
-    ks, ki = rates.k_s, rates.k_i
+    ks, ki = _check_record("rates", rates, RateParams).k_s, rates.k_i
     hop = ki * (np.ones((3, 3)) - 3.0 * np.eye(3))
     m = np.zeros((6, 6))
     m[:3, :3] = hop
@@ -212,26 +229,23 @@ def propagator(t: float, rates: RateParams = RateParams()) -> np.ndarray:
     numpy.ndarray, shape (6, 6)
         Columns are probability vectors (sum to 1); the identity at t = 0.
     """
-    return _closed_form(_check_number("duration", t, 0), rates)
+    weights = _mode_weights(_check_number("duration", t, 0),
+                            _check_record("rates", rates, RateParams))
+    return np.dot(weights, _MODES.reshape(4, 36)).reshape(6, 6)
 
 
-def _mode_weights(t: float, rates: RateParams) -> np.ndarray:
-    """The weights (1, e^{-3k_i t}, e^{-k_s t}, phi) of the four _MODES at t."""
+def _mode_weights(t: float, rates: RateParams) -> tuple[float, float, float, float]:
+    """The weights (1, e^{-3k_i t}, e^{-k_s t}, phi) of the four _MODES at t, as floats."""
     ks, ki = rates.k_s, rates.k_i
     e3 = math.exp(-3.0 * ki * t)
     es = math.exp(-ks * t)
     g = abs(3.0 * ki - ks)
     phi1 = -math.expm1(-g * t) / g if g > 0.0 else t
     # max(es, e3) is e^{-min(k_s, 3 k_i) t}: the slower of the two decays.
-    return np.array([1.0, e3, es, ks * max(es, e3) * phi1])
+    return 1.0, e3, es, ks * max(es, e3) * phi1
 
 
-def _closed_form(t: float, rates: RateParams) -> np.ndarray:
-    """propagator on an already checked duration; it is not checked again."""
-    return (_mode_weights(t, rates) @ _MODES.reshape(4, 36)).reshape(6, 6)
-
-
-def _stationary_time(modes: np.ndarray, rates: RateParams) -> float | None:
+def _stationary_time(modes, rates: RateParams) -> float | None:
     """The t > 0 where f(t) = _mode_weights(t, rates) @ modes is stationary, or None.
 
     For modes = _MODES @ p @ w, f(t) = w . propagator(t) @ p = c0 + e^{-m t} [A +
@@ -241,7 +255,7 @@ def _stationary_time(modes: np.ndarray, rates: RateParams) -> float | None:
     C + (m + g) B and D = g (C - (m + g) B) + m C; at g = 0 its limit t = -K / D.
     """
     ks, ki = rates.k_s, rates.k_i
-    _, nuclear, electron, feed = modes.tolist()
+    _, nuclear, electron, feed = modes
     a, b = (nuclear, electron) if 3.0 * ki <= ks else (electron, nuclear)
     c, m, g = ks * feed, min(ks, 3.0 * ki), abs(3.0 * ki - ks)
     k = m * a - c + (m + g) * b
@@ -252,9 +266,12 @@ def _stationary_time(modes: np.ndarray, rates: RateParams) -> float | None:
     return t if t > 0.0 else None
 
 
-def _propagate(vec: np.ndarray, t: float, rates: RateParams) -> np.ndarray:
-    """The laser step on an already checked vector and duration; neither is checked again."""
-    return _clamp_dust(_closed_form(t, rates) @ vec)
+def _propagate(vec: np.ndarray, t: float, rates: RateParams, proj=None, weights=None):
+    """Unchecked laser step _mode_weights(t) @ (_MODES @ vec), clamped; either may be given."""
+    if t == 0.0:        # propagator(0) is exactly the identity: nothing to round
+        return _clamp_dust(vec.copy())
+    weights = _mode_weights(t, rates) if weights is None else weights
+    return _clamp_dust(np.dot(weights, _MODES @ vec if proj is None else proj))
 
 
 def propagate(p, t: float, rates: RateParams = RateParams()) -> np.ndarray:
@@ -263,7 +280,8 @@ def propagate(p, t: float, rates: RateParams = RateParams()) -> np.ndarray:
     Equivalent to propagator(t, rates) @ p with simplex cleanup: dust in
     [-1e-9, 0), the tolerance validate_population accepts, is clamped to zero.
     """
-    return _propagate(validate_population(p), _check_number("duration", t, 0), rates)
+    return _propagate(validate_population(p), _check_number("duration", t, 0),
+                      _check_record("rates", rates, RateParams))
 
 
 def propagate_numeric(p, t: float, rates: RateParams = RateParams(),
@@ -289,6 +307,7 @@ def propagate_numeric(p, t: float, rates: RateParams = RateParams(),
     """
     _check_number("step", step, 0, 1e-2, strict=True)
     _check_number("duration", t, 0)
+    _check_record("rates", rates, RateParams)
     if t / step > 1e7:
         raise ValueError(f"step must be at least {t / 1e7:g} for duration {t:g} "
                          f"(at most 1e7 steps), got {step}")
@@ -311,13 +330,13 @@ def steady_state(rates: RateParams = RateParams()) -> np.ndarray:
     Requires k_i > 0; without nuclear hopping the kernel of M is
     degenerate and no single steady state exists.
     """
-    if rates.k_i == 0:
+    if _check_record("rates", rates, RateParams).k_i == 0:
         raise ValueError("steady state is not unique when k_i = 0")
     return np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) / 3.0
 
 
 def _exp_pair(t: float, rates: RateParams) -> tuple[float, float, float]:
-    if rates.degenerate:
+    if _check_record("rates", rates, RateParams).degenerate:
         raise ValueError(
             "reference solution is singular at 3*k_i = k_s; "
             "use propagate instead")

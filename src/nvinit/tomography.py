@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spinmodel import _check_number, validate_population
+from .spinmodel import _check_number, _check_record, validate_population
 
 __all__ = [
     "SpectralAmplitudes",
@@ -195,7 +195,8 @@ def synthesize_fid(amps: SpectralAmplitudes, fp: FidParams = FidParams()) -> np.
     s(tau_k) = sum_m a_m exp(2j pi (detuning + split m) tau_k)
                * exp(-tau_k / t2star),  tau_k = k dt.
     """
-    basis = _basis(fp)
+    _check_record("amps", amps, SpectralAmplitudes)
+    basis = _basis(_check_record("fp", fp, FidParams))
     return _synthesize(amps.as_array(), basis.lines, basis.decay)
 
 
@@ -207,6 +208,7 @@ def spectrum(fid: np.ndarray, fp: FidParams = FidParams()) -> Spectrum:
     and the grid run from negative to positive frequencies (fftshift); the
     grid is shared between spectra of equal FidParams and read-only.
     """
+    _check_record("fp", fp, FidParams)
     fid = np.asarray(fid)
     if fid.dtype.kind not in "iufc":        # text such as "1+2j" is refused, not parsed
         raise ValueError(f"FID must hold numbers, got dtype {fid.dtype}")
@@ -224,7 +226,7 @@ def calibration_spectrum(fp: FidParams = FidParams()) -> Spectrum:
     Computed once per FidParams: equal parameters return the same
     Spectrum, whose arrays are read-only.
     """
-    return _basis(fp).calibration
+    return _basis(_check_record("fp", fp, FidParams)).calibration
 
 
 def _check_grid(spec: Spectrum, fp: FidParams, name: str) -> None:
@@ -280,6 +282,9 @@ def extract_amplitudes(spec: Spectrum, fp: FidParams,
     """
     if calibration is None:
         raise ValueError("extraction requires a calibration spectrum")
+    _check_record("spec", spec, Spectrum)
+    _check_record("fp", fp, FidParams)
+    _check_record("calibration", calibration, Spectrum)
     _check_grid(spec, fp, "spectrum")
     if spec.fid_length != fp.n_samples:
         raise ValueError(f"spectrum is of {spec.fid_length} FID samples, "

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nvinit import optimizer
+from nvinit import optimizer, spinmodel
 from nvinit.optimizer import (A0, BLOCKED, INTERLEAVED, P00,
                               REFERENCE_CYCLE1_OVERRIDES, CycleOverrides,
                               objective_value, optimize_laser, optimize_schedule,
@@ -284,18 +284,34 @@ class TestFoldMatchesPublicPath:
 
 
 class TestOnePropagationPerPass:
-    """The line search only chooses; the fold and optimize_laser propagate once."""
+    """The line search only chooses; the fold and optimize_laser propagate once,
+    from one projection of the state onto the laser modes."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls, laser_step = [], optimizer._propagate
 
-        def counted(vec, t, rates):
+        def counted(vec, t, rates, *given):
             calls.append(t)
-            return laser_step(vec, t, rates)
+            return laser_step(vec, t, rates, *given)
 
         monkeypatch.setattr(optimizer, "_propagate", counted)
         return calls
+
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        # _MODES @ vec is the projection; the fold and the laser step both read _MODES.
+        made = []
+
+        class Modes(np.ndarray):
+            def __matmul__(self, vec):
+                made.append(vec.copy())
+                return np.asarray(self) @ vec
+
+        modes = spinmodel._MODES.view(Modes)
+        monkeypatch.setattr(spinmodel, "_MODES", modes)
+        monkeypatch.setattr(optimizer, "_MODES", modes)
+        return made
 
     @pytest.mark.parametrize("strategy", [INTERLEAVED, BLOCKED])
     @pytest.mark.parametrize("overrides", [None, REFERENCE_CYCLE1_OVERRIDES])
@@ -311,6 +327,36 @@ class TestOnePropagationPerPass:
         t, _ = optimize_laser(SEG2_POST_SWAP)
         assert 0.0 < t < 10.0
         assert calls == [t]
+
+    @pytest.mark.parametrize("strategy", [INTERLEAVED, BLOCKED])
+    @pytest.mark.parametrize("overrides, pinned_zero", [
+        (None, 0), (REFERENCE_CYCLE1_OVERRIDES, 0), (CycleOverrides(t1=0.0), 1),
+        (CycleOverrides(t1=0.0, t2=0.0), 2)])
+    def test_schedule_projects_each_pass_once(self, projections, strategy, overrides,
+                                              pinned_zero):
+        # A searched pass projects once to choose, and steps from that projection
+        # when it picks t > 0; a pass pinned to t = 0 projects nothing.
+        p0 = initial_state()
+        projections.clear()
+        s = optimize_schedule(p0, n_cycles=4, strategy=strategy, cycle1_overrides=overrides)
+        assert len(projections) == 8 - pinned_zero
+        durations = [t for row in s.cycles for t in (row.t1, row.t2)]
+        assert 0.0 in durations and any(t > 0.0 for t in durations)
+
+    def test_optimize_laser_projects_once(self, projections):
+        for p in (SEG2_POST_SWAP, steady_state()):      # t* > 0, then t* = 0
+            t, _ = optimize_laser(p)
+            assert (t > 0.0) == (p is SEG2_POST_SWAP)
+            assert len(projections) == 1 and np.array_equal(projections.pop(), p)
+
+    def test_laser_step_projects_only_when_it_moves(self, projections):
+        p = SEG2_POST_SWAP
+        for t, made in ((0.0, 0), (0.5, 1)):
+            propagate(p, t)
+            apply_pulse(p, Laser(t))
+            run_sequence(p, [Laser(t)])
+            assert len(projections) == 3 * made
+            projections.clear()
 
 
 class TestValidatedDust:

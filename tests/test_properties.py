@@ -53,6 +53,15 @@ def test_simplex_is_preserved(p, t, r):
 
 
 @DERANDOMIZED
+@given(populations(), durations, rates())
+def test_laser_step_matches_the_propagator(p, t, r):
+    # propagate projects p onto the four modes; propagator sums them into a matrix
+    q = propagate(p, t, r)
+    assert np.abs(q - propagator(t, r) @ p).max() <= 1e-14
+    assert q.min() >= 0.0 and abs(q.sum() - 1.0) <= 1e-14
+
+
+@DERANDOMIZED
 @given(durations, durations, rates())
 def test_semigroup(s, t, r):
     u = propagator(s + t, r)

@@ -37,6 +37,18 @@ def test_swap_records_keep_their_dataclass_behaviour():
         rf.swap_fidelity = 1.0
 
 
+def test_swap_levels_resolved_when_built():
+    # numpy integers name the same levels; replace resolves the new pair again
+    p = np.array([0.1, 0.2, 0.3, 0.15, 0.05, 0.2])
+    levels = tuple(tuple(np.int64(q) for q in level) for level in MW_PAIRS[1])
+    mw = MwPi(levels, 0.7)
+    assert mw == MwPi(MW_PAIRS[1], 0.7) and hash(mw) == hash(MwPi(MW_PAIRS[1], 0.7))
+    assert np.array_equal(apply_pulse(p, mw), apply_pulse(p, MwPi(MW_PAIRS[1], 0.7)))
+    moved = dataclasses.replace(mw, pair=MW_PAIRS[0][::-1])
+    assert np.array_equal(apply_pulse(p, moved), apply_pulse(p, MwPi(MW_PAIRS[0], 0.7)))
+    assert not np.array_equal(apply_pulse(p, moved), apply_pulse(p, mw))
+
+
 def test_pulse_parameter_validation():
     with pytest.raises(ValueError):
         MwPi(((0, -1), (-1, -1)), swap_fidelity=1.2)

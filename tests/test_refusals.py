@@ -11,12 +11,14 @@ import pytest
 
 from nvinit.cli import main
 from nvinit.config import ConfigError, OptimizerSettings, parse_config, parse_sequence
-from nvinit.hamiltonian import HamiltonianParams, TransitionRef, energy, transition_frequency
+from nvinit.hamiltonian import (HamiltonianParams, TransitionRef, energy, transition_frequency,
+                                transition_table)
 from nvinit.optimizer import CycleOverrides, optimize_laser, optimize_schedule, run_cycle
-from nvinit.pulses import MW_PAIRS, RF_PAIRS, Laser, MwPi, RfPi, initial_state
+from nvinit.pulses import (MW_PAIRS, RF_PAIRS, Laser, MwPi, RfPi, Segment, apply_pulse,
+                           initial_state, run_segment, run_sequence)
 from nvinit.spinmodel import (RateParams, propagate, propagate_numeric, propagator,
-                              seg1_reference_solution, seg2_reference_solution,
-                              validate_population)
+                              rate_matrix, seg1_reference_solution, seg2_reference_solution,
+                              steady_state, validate_population)
 from nvinit.tomography import (FidParams, SpectralAmplitudes, Spectrum,
                                calibration_spectrum, extract_amplitudes, spectrum,
                                synthesize_fid)
@@ -205,6 +207,56 @@ P = (1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0)
                                 (run_cycle, "p", "overrides"))
       for value, shown in ((5, "int"), ((0.5, 0.46), "tuple"), ({"t1": 0.5}, "dict"),
                            (np.zeros((2, 2)), "ndarray"))],
+    # A record of the wrong type is refused where it enters.  These used to leak an
+    # AttributeError ("'int' object has no attribute 'k_s'", "pair", ...).
+    *[(entry, {**kwargs, "rates": RateParams}, "rates must be a RateParams, got type")
+      for entry, kwargs in ((propagator, {"t": 1.0}), (propagate, {"p": P, "t": 1.0}),
+                            (propagate_numeric, {"p": P, "t": 0.01}), (rate_matrix, {}),
+                            (steady_state, {}), (seg1_reference_solution, {"t": 1.0}),
+                            (seg2_reference_solution, {"t": 1.0}),
+                            (apply_pulse, {"p": P, "pulse": Laser(1.0)}),
+                            (run_segment, {"p": P, "segment": Segment("s")}),
+                            (run_sequence, {"p": P, "pulses": []}), (initial_state, {}),
+                            (optimize_laser, {"p_post_swaps": P}),
+                            (optimize_schedule, {"p0": P}), (run_cycle, {"p": P}))],
+    (propagate, {"p": P, "t": 1.0, "rates": 5}, "rates must be a RateParams, got int"),
+    (optimize_laser, {"p_post_swaps": P, "rates": 5}, "rates must be a RateParams, got int"),
+    (apply_pulse, {"p": P, "pulse": 5}, "pulse must be a MwPi or RfPi or Laser, got int"),
+    (apply_pulse, {"p": P, "pulse": Laser(1.0), "rates": None},
+     "rates must be a RateParams, got NoneType"),
+    (run_sequence, {"p": P, "pulses": [Laser(1.0), 5]},
+     "pulses[1] must be a MwPi or RfPi or Laser, got int"),
+    (run_segment, {"p": P, "segment": 5}, "segment must be a Segment, got int"),
+    (Segment, {"label": "s", "pulses": [Laser(1.0)]},
+     "segment pulses must be a tuple, got list"),
+    (spectrum, {"fid": np.zeros(256), "fp": 5}, "fp must be a FidParams, got int"),
+    (synthesize_fid, {"amps": 5}, "amps must be a SpectralAmplitudes, got int"),
+    (synthesize_fid, {"amps": SpectralAmplitudes(**AMPS), "fp": {}},
+     "fp must be a FidParams, got dict"),
+    (calibration_spectrum, {"fp": 5}, "fp must be a FidParams, got int"),
+    (extract_amplitudes, {"spec": 5, "fp": FidParams(), "calibration": 5},
+     "spec must be a Spectrum, got int"),
+    (extract_amplitudes, {"spec": calibration_spectrum(), "fp": 5, "calibration": 5},
+     "fp must be a FidParams, got int"),
+    (extract_amplitudes, {"spec": calibration_spectrum(), "fp": FidParams(),
+                          "calibration": np.zeros(3)},
+     "calibration must be a Spectrum, got ndarray"),
+    (transition_table, {"params": 5}, "params must be a HamiltonianParams, got int"),
+    (energy, {"level": (0, -1), "params": 5}, "params must be a HamiltonianParams, got int"),
+    # Each level is a tuple of two integers before it is compared.  The arrays used
+    # to leak numpy's "truth value ... is ambiguous"; (0, True) read as (0, 1).
+    (MwPi, {"pair": (np.zeros(2), np.zeros(2))},
+     "invalid transition pair for MW pulse: (array([0., 0.]), array([0., 0.]))"),
+    (RfPi, {"pair": ((-1, -1), (-1, np.zeros(2)))},
+     "invalid transition pair for RF pulse: ((-1, -1), (-1, array([0., 0.])))"),
+    (MwPi, {"pair": ((0, True), (-1, True))},
+     "invalid transition pair for MW pulse: ((0, True), (-1, True))"),
+    (energy, {"level": (np.zeros(2), 0)}, "unknown level (array([0., 0.]), 0)"),
+    (energy, {"level": (0, True)}, "unknown level (0, True)"),
+    (transition_frequency, {"a": (0, -1), "b": (np.zeros(2), 0)},
+     "unknown level (array([0., 0.]), 0)"),
+    (TransitionRef, {"pair": ((np.zeros(2), 0), (0, -1)), **REF},
+     "pair must be two known (m_s, m_I) levels, got ((array([0., 0.]), 0), (0, -1))"),
 ])
 def test_scalar_refused_in_one_line(entry, kwargs, message):
     with refused(ValueError, message):

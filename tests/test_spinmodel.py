@@ -164,8 +164,8 @@ class TestModes:
             slope = np.array([0.0, -3.0 * ki, -ks, ks])
             # second-order one-sided difference: the weights hold for t >= 0
             h = 1e-6
-            ahead = (4.0 * _mode_weights(h, rates) - _mode_weights(2.0 * h, rates)
-                     - 3.0 * _mode_weights(0.0, rates)) / (2.0 * h)
+            weights = [np.array(_mode_weights(t, rates)) for t in (0.0, h, 2.0 * h)]
+            ahead = (4.0 * weights[1] - weights[2] - 3.0 * weights[0]) / (2.0 * h)
             assert np.abs(ahead - slope).max() <= 1e-9
             assert np.abs(slope @ _MODES.reshape(4, 36)
                           - rate_matrix(rates).ravel()).max() <= 1e-15
@@ -177,6 +177,14 @@ class TestModes:
     def test_zero_duration_is_exactly_the_identity(self):
         for rates in self.rates():
             assert np.array_equal(propagator(0.0, rates), np.eye(6))
+
+    @pytest.mark.parametrize("rates", EDGES, ids=["default", "3ki=ks", "ki=0"])
+    def test_zero_length_laser_returns_the_state(self, rates):
+        # no product is formed at t = 0, so nothing is rounded
+        rng = np.random.default_rng(17)
+        for p in [SEG1_START, STEADY] + [random_simplex(rng) for _ in range(50)]:
+            got = propagate(p, 0.0, rates)
+            assert np.array_equal(got, p) and got is not p
 
     def test_table_is_read_only(self):
         with pytest.raises(ValueError, match="read-only"):
