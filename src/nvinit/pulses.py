@@ -62,8 +62,10 @@ class _Swap:
                 and any(pair in (p, p[::-1]) for p in self._pairs)):
             raise ValueError(f"invalid transition pair for {self._kind} pulse: {_shown(pair)}")
         f = float(_check_number("swap_fidelity", self.swap_fidelity, 0, 1))
-        # The step's indices and f, resolved once; not a field, so repr, eq and hash ignore it.
+        # The step's indices and f, and the trace text, resolved once; not fields,
+        # so repr, eq and hash ignore them.
         object.__setattr__(self, "_resolved", (LEVEL_INDEX[pair[0]], LEVEL_INDEX[pair[1]], f))
+        object.__setattr__(self, "_text", f"{self._kind} pi {pair[0]}<->{pair[1]}")
 
 
 class MwPi(_Swap):
@@ -86,6 +88,8 @@ class Laser:
 
     def __post_init__(self) -> None:
         _check_number("laser duration", self.duration, 0)
+        # The trace text, resolved once and not a field, as a swap's.
+        object.__setattr__(self, "_text", f"laser {self.duration:g} us")
 
 
 Pulse = MwPi | RfPi | Laser
@@ -127,12 +131,6 @@ def seg2(t2: float) -> Segment:
     return Segment("seg2", _SWAPS[1] + (Laser(t2),))
 
 
-def _describe(pulse: Pulse) -> str:
-    if isinstance(pulse, Laser):
-        return f"laser {pulse.duration:g} us"
-    return f"{pulse._kind} pi {pulse.pair[0]}<->{pulse.pair[1]}"
-
-
 def _step(state: np.ndarray, pulse: Pulse, rates: RateParams) -> np.ndarray:
     """One pulse on an already validated state; it is not checked again."""
     if isinstance(pulse, Laser):
@@ -160,7 +158,8 @@ def run_segment(p, segment: Segment, rates: RateParams = RateParams()):
     Returns
     -------
     (numpy.ndarray, list of TraceRecord)
-        The final state and one trace record per pulse.
+        The final state and one trace record per pulse.  Each record holds
+        its own array, and the final state is a copy: never the input.
     """
     state = validate_population(p)
     _check_record("segment", segment, Segment)
@@ -168,8 +167,8 @@ def run_segment(p, segment: Segment, rates: RateParams = RateParams()):
     trace = []
     for idx, pulse in enumerate(segment.pulses):
         state = _step(state, pulse, rates)
-        trace.append(TraceRecord(idx, _describe(pulse), state.copy()))
-    return state, trace
+        trace.append(TraceRecord(idx, pulse._text, state))     # each step makes a new array
+    return state.copy(), trace
 
 
 def run_sequence(p, pulses, rates: RateParams = RateParams()):

@@ -153,21 +153,33 @@ class RateParams:
 def validate_population(p) -> np.ndarray:
     """Check and return a population vector as a float array of length 6.
 
-    Entries must be ints or floats, lie in [0, 1] and sum to 1, both within 1e-9.
+    Entries must be ints or floats (a bool entry of a list or tuple is
+    refused too), lie in [0, 1] and sum to 1, both within 1e-9.  The checks
+    run on the six entries as Python floats: on six numbers numpy's
+    reductions cost several times the arithmetic.
     """
     arr = np.asarray(p)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"population vector must hold real numbers, got dtype {arr.dtype}")
+    if isinstance(p, (list, tuple)):    # numpy reads a bool among numbers as 0 or 1
+        for i, entry in enumerate(p):
+            if isinstance(entry, (bool, np.bool_)) or getattr(entry, "dtype", None) == bool:
+                raise ValueError(f"population vector must hold real numbers, "
+                                 f"got {entry!r} at index {i}")
     arr = arr.astype(float, copy=False)
     if arr.shape != (6,):
         raise ValueError(f"population vector must have 6 entries, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    values = arr.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("population vector must be finite")
-    if arr.min() < -_SUM_TOL or arr.max() > 1.0 + _SUM_TOL:
-        raise ValueError(f"population entries must lie in [0, 1]: {arr.tolist()}")
-    total = arr.sum()
+    if min(values) < -_SUM_TOL or max(values) > 1.0 + _SUM_TOL:
+        raise ValueError(f"population entries must lie in [0, 1]: {values}")
+    a, b, c, d, e, f = values
+    # Left to right from +0.0, the order numpy sums six entries in, bit for bit;
+    # the builtin sum compensates its rounding from Python 3.12 on.
+    total = 0.0 + a + b + c + d + e + f
     if abs(total - 1.0) > _SUM_TOL:
-        raise ValueError(f"population vector must sum to 1, got {float(total)!r}")
+        raise ValueError(f"population vector must sum to 1, got {total!r}")
     return arr
 
 

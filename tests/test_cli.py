@@ -278,6 +278,27 @@ class TestSimulate:
         assert doc["trace"] == []
         assert doc["final_state"] == doc["initial_state"] == [0, 0, 1, 0, 0, 0]
 
+    # Stdout digests of an empty and a seven-pulse sequence (a reversed pair, a
+    # lossy swap, lasers of 1e-7, 2 and 0 us): the trace text and states are pinned.
+    @pytest.mark.parametrize("text, want", [
+        ("initial_state: [0.1, 0.2, 0.3, 0.15, 0.05, 0.2]\npulses: []\n",
+         "14309a64e2af5f9f872b118da54538c05e6230696f6ef7ce33bb67ca8661051f"),
+        ("initial_state: [0.1, 0.2, 0.3, 0.15, 0.05, 0.2]\npulses:\n"
+         "  - {kind: mw_pi, pair: [[0, -1], [-1, -1]]}\n"
+         "  - {kind: laser, duration_us: 1.0e-7}\n"
+         "  - {kind: rf_pi, pair: [[-1, 0], [-1, 1]], fidelity: 0.5}\n"
+         "  - {kind: laser, duration_us: 2}\n"
+         "  - {kind: mw_pi, pair: [[-1, 1], [0, 1]], fidelity: 0.9}\n"
+         "  - {kind: laser, duration_us: 0}\n"
+         "  - {kind: rf_pi, pair: [[-1, -1], [-1, 0]]}\n",
+         "d741252fa3735cd99211385d33fd8cef8179d8b8681ff57d09848089b1e57c66"),
+    ], ids=["empty", "seven-pulses"])
+    def test_stdout_bytes(self, text, want, tmp_path, capsys):
+        seq = tmp_path / "seq.yaml"
+        seq.write_text(text)
+        assert main(["simulate", str(seq)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.yaml")]) == 1
         assert capsys.readouterr().err.startswith("error: cannot read sequence")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -47,6 +48,65 @@ def test_swap_levels_resolved_when_built():
     moved = dataclasses.replace(mw, pair=MW_PAIRS[0][::-1])
     assert np.array_equal(apply_pulse(p, moved), apply_pulse(p, MwPi(MW_PAIRS[0], 0.7)))
     assert not np.array_equal(apply_pulse(p, moved), apply_pulse(p, mw))
+
+
+def reference_text(pulse) -> str:
+    """The trace text run_segment used to format for each pulse it ran."""
+    if isinstance(pulse, Laser):
+        return f"laser {pulse.duration:g} us"
+    kind = "MW" if isinstance(pulse, MwPi) else "RF"
+    return f"{kind} pi {pulse.pair[0]}<->{pulse.pair[1]}"
+
+
+TRACED_PULSES = ([cls(pair, 0.8) for cls, pairs in ((MwPi, MW_PAIRS), (RfPi, RF_PAIRS))
+                  for pair in pairs + tuple(pair[::-1] for pair in pairs)]
+                 + [Laser(0.5), Laser(1e-07), Laser(np.float64(0.46)), Laser(3)])
+
+
+@pytest.mark.parametrize("pulse", TRACED_PULSES, ids=repr)
+def test_trace_text_resolved_when_built(pulse):
+    _, trace = run_sequence(UNIFORM_MS0, [pulse])
+    assert trace[0].description == reference_text(pulse)
+
+
+def test_trace_text_follows_replace_and_stays_out_of_the_fields():
+    mw, laser = MwPi(MW_PAIRS[0]), Laser(0.5)
+    for pulse, want in ((dataclasses.replace(mw, pair=MW_PAIRS[1][::-1]), "MW pi (-1, 1)<->(0, 1)"),
+                        (dataclasses.replace(laser, duration=3), "laser 3 us"),
+                        (dataclasses.replace(laser, duration=1e-07), "laser 1e-07 us")):
+        assert run_sequence(UNIFORM_MS0, [pulse])[1][0].description == want
+    assert [run_sequence(UNIFORM_MS0, [p])[1][0].description for p in (mw, laser)] == [
+        "MW pi (0, -1)<->(-1, -1)", "laser 0.5 us"]
+    assert repr(laser) == "Laser(duration=0.5)"
+    assert [f.name for f in dataclasses.fields(laser)] == ["duration"]
+    assert hash(laser) == hash((0.5,)) and hash(mw) == hash((MW_PAIRS[0], 1.0))
+    for pulse in (mw, laser):               # the same fields, another text: still equal
+        other = dataclasses.replace(pulse)
+        object.__setattr__(other, "_text", "another text")
+        assert other == pulse and hash(other) == hash(pulse) and repr(other) == repr(pulse)
+
+
+def test_trace_records_and_final_state_are_distinct_arrays():
+    # The zero-length laser and the zero-fidelity swap leave the values as they are.
+    pulses = [MwPi(MW_PAIRS[0]), Laser(0.0), RfPi(RF_PAIRS[0], 0.0), Laser(0.5)]
+    p = np.array([0.2, 0.2, 0.2, 0.2, 0.1, 0.1])
+    final, trace = run_sequence(p, pulses)
+    arrays = [p, final] + [record.state for record in trace]
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+    assert np.array_equal(final, trace[-1].state)
+
+
+@pytest.mark.parametrize("pulses", [(), (Laser(0.0),), seg1(0.5).pulses],
+                         ids=["empty", "zero-laser", "seg1"])
+def test_mutating_the_result_leaves_input_and_trace_alone(pulses):
+    p = np.array([0.2, 0.2, 0.2, 0.2, 0.1, 0.1])
+    before = p.copy()
+    final, trace = run_sequence(p, pulses)
+    states = [record.state.copy() for record in trace]
+    assert final is not p
+    final[:] = -1.0
+    assert np.array_equal(p, before)
+    assert all(np.array_equal(record.state, state) for record, state in zip(trace, states))
 
 
 def test_pulse_parameter_validation():

@@ -267,11 +267,26 @@ def test_scalar_refused_in_one_line(entry, kwargs, message):
     # Populations are ints or floats and FIDs also complex: other dtypes are refused,
     # not converted.  The complex population used to lose its imaginary part with
     # only a ComplexWarning, the bool and text arrays were converted, and the dict
-    # and the list of complex numbers leaked a TypeError.
+    # and the list of complex numbers leaked a TypeError.  A list or tuple that
+    # mixes bools with numbers was converted too, each bool to 1 or 0.
     (validate_population, {"p": np.array(P, dtype=complex)},
      "population vector must hold real numbers, got dtype complex128"),
     (validate_population, {"p": [False, False, True, False, False, False]},
      "population vector must hold real numbers, got dtype bool"),
+    (validate_population, {"p": np.zeros(6, dtype=bool)},
+     "population vector must hold real numbers, got dtype bool"),
+    (validate_population, {"p": [True, False, 0, 0, 0, 0]},
+     "population vector must hold real numbers, got True at index 0"),
+    (validate_population, {"p": (0.5, 0.5, 0.0, 0.0, 0.0, np.False_)},
+     f"population vector must hold real numbers, got {np.False_!r} at index 5"),
+    (validate_population, {"p": [0.0, 0.0, np.True_, 0.0, 0.0, 0.0]},
+     f"population vector must hold real numbers, got {np.True_!r} at index 2"),
+    (validate_population, {"p": [0.0, 0.0, np.array(True), 0.0, 0.0, 0.0]},
+     "population vector must hold real numbers, got array(True) at index 2"),
+    (propagate, {"p": [0, 0, 1.0, 0, 0, False], "t": 1.0},
+     "population vector must hold real numbers, got False at index 5"),
+    (run_sequence, {"p": (0.0, 0.0, True, 0.0, 0.0, 0.0), "pulses": ()},
+     "population vector must hold real numbers, got True at index 2"),
     (validate_population, {"p": ["0", "0", "1", "0", "0", "0"]},
      "population vector must hold real numbers, got dtype <U1"),
     (validate_population, {"p": {"p00": 1.0}},

@@ -80,6 +80,69 @@ class TestValidate:
             validate_population([np.nan, 0.5, 0.5, 0, 0, 0])
 
 
+def reference_validate(p) -> np.ndarray:
+    """validate_population as numpy reductions: the rule its Python-float checks must keep."""
+    arr = np.asarray(p)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"population vector must hold real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    if arr.shape != (6,):
+        raise ValueError(f"population vector must have 6 entries, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("population vector must be finite")
+    if arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9:
+        raise ValueError(f"population entries must lie in [0, 1]: {arr.tolist()}")
+    total = arr.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"population vector must sum to 1, got {float(total)!r}")
+    return arr
+
+
+def boundary_vectors(rng):
+    """Seeded vectors within a few ulps of each bound, non-finite, int and float32 ones."""
+    ulps = (1.0 + np.arange(-4, 5) * 2.0**-52)
+    for _ in range(300):
+        p = rng.dirichlet(np.ones(6))
+        i, j = rng.choice(6, 2, replace=False)
+        for scale in ulps:
+            for sign in (1.0, -1.0):
+                total = p.copy()                    # sum at 1 +- 1e-9
+                total[i] += sign * 1e-9 * scale
+                yield total
+            low = p.copy()                          # an entry at -1e-9, the rest summing to 1
+            low[i], low[j] = -1e-9 * scale, low[j] + low[i] + 1e-9 * scale
+            yield low
+            high = np.zeros(6)                      # an entry at 1 + 1e-9
+            high[i], high[j] = 1.0 + 1e-9 * scale, -1e-9 * scale
+            yield high
+        bad = p.copy()
+        bad[i] = rng.choice([np.nan, np.inf, -np.inf])
+        yield bad
+        yield p.astype(np.float32)
+        yield p.tolist()
+        yield np.eye(6, dtype=int)[i] * int(rng.choice([1, 2, -1]))
+    yield [-0.0] * 6
+    yield np.zeros(6, dtype=np.int64)
+
+
+class TestValidateMatchesTheNumpyRule:
+    def test_accepts_and_refuses_as_the_reduction(self):
+        cases = refused = 0
+        for p in boundary_vectors(np.random.default_rng(20)):
+            cases += 1
+            try:
+                want = reference_validate(p)
+            except ValueError as exc:
+                refused += 1
+                with pytest.raises(ValueError) as got:
+                    validate_population(p)
+                assert str(got.value) == str(exc)
+            else:
+                got = validate_population(p)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert cases > 8000 and 0.2 < refused / cases < 0.8
+
+
 class TestPropagator:
     def test_zero_time_identity(self):
         assert np.array_equal(propagator(0.0), np.eye(6))
