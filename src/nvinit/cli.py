@@ -31,7 +31,7 @@ from .config import _read, load_config, parse_sequence
 from .hamiltonian import transition_table
 from .optimizer import REFERENCE_CYCLE1_OVERRIDES, optimize_schedule
 from .pulses import _SWAPS, _step, initial_state, run_sequence
-from .spinmodel import _MODES, _check_number, _propagate, validate_population
+from .spinmodel import _check_number, _propagate, validate_population
 from .tomography import (amplitudes, calibration_spectrum, extract_amplitudes,
                          spectrum, synthesize_fid)
 
@@ -111,9 +111,9 @@ def _cmd_sweep(args) -> int:
         k, state = 1, np.asarray(REFERENCE_CYCLE1_OVERRIDES.seg2_start, dtype=float)
     for pulse in _SWAPS[k]:     # both starts are valid: no state is checked again
         state = _step(state, pulse, cfg.rates)
-    proj, rows = _MODES @ state, []     # the post-swap start, projected once
+    rows = []
     for t in np.linspace(0.0, args.t_max, args.steps):
-        p = _propagate(state, float(t), cfg.rates, proj)    # p[:3] - p[3:] is amplitudes(p)
+        p = _propagate(state, float(t), cfg.rates)      # p[:3] - p[3:] is amplitudes(p)
         rows.append([_fmt(v) for v in (t, *p, *(p[:3] - p[3:]), p[0] + p[1] + p[2])])
     path = out / f"sweep_{args.segment}.csv"
     _write_csv(path, ["duration_us", "p0", "p1", "p2", "p3", "p4", "p5",

@@ -7,10 +7,12 @@ Level energies follow
 with D the zero-field splitting, Q the nuclear quadrupole coupling and A
 the hyperfine coupling.  Energies and frequencies are in MHz, the field
 in mT.  Computed transition frequencies are compared against measured
-reference values; the residuals are reported as-is because the quoted
-constants do not reproduce the measured table exactly (the RF pair sits
-about 0.4-0.5 MHz high relative to the computed values, consistent with
-an effective |Q| closer to 4.95 MHz).
+reference values; the residuals (computed minus measured) are reported
+as-is because the quoted constants do not reproduce the measured table
+exactly.  On the RF pair they are about -0.4 to -0.5 MHz, consistent with
+an effective |Q| closer to 4.95 MHz.  On the MW pair they are +1.04 and
++7.36 MHz: the table puts its two MW lines 2 MHz apart with m_I = +1 below
+m_I = -1, where the Hamiltonian puts m_I = +1 4.32 MHz above.
 """
 
 from __future__ import annotations

@@ -12,10 +12,11 @@ one fold over a list of laser passes, ordered by the strategy:
 Both objectives are linear functionals w . p of the state, so along a
 laser pulse each is a constant plus three exponential modes with at most
 one stationary point, spinmodel._stationary_time: the optimum over a
-duration interval is at an end or at that point.  A pass projects its
-state onto the laser modes once: the line search scores from it and the
-one laser step reads it.  Public functions check their inputs once, and
-identical inputs give bit-identical schedules.
+duration interval is at an end or at that point.  A searched pass
+projects its state onto the laser modes once, to score the line search's
+candidates; the laser step (spinmodel._propagate, six Python floats)
+projects nothing and reuses the winner's mode weights.  Public functions
+check their inputs once, and identical inputs give bit-identical schedules.
 """
 
 from __future__ import annotations
@@ -157,21 +158,20 @@ def optimize_laser(p_post_swaps, rates: RateParams = RateParams(),
     """
     w, p = _check_rules(objective, t_max), validate_population(p_post_swaps)
     _check_record("rates", rates, RateParams)
-    t, *given = _line_search(w, p, rates, t_max)
-    return t, float(w @ _propagate(p, t, rates, *given))
+    t, weights = _line_search(w, p, rates, t_max)
+    return t, float(w @ _propagate(p, t, rates, weights))
 
 
 def _line_search(w: np.ndarray, p: np.ndarray, rates: RateParams, t_max: float) -> tuple:
-    """optimize_laser's (t, _MODES @ p, _mode_weights(t) or None at t = 0); propagates nothing."""
-    proj = _MODES @ p
-    m0, m1, m2, m3 = modes = (proj @ w).tolist()
+    """optimize_laser's (t, _mode_weights(t) or None at t = 0); propagates nothing."""
+    m0, m1, m2, m3 = modes = (_MODES @ p @ w).tolist()
     t_root = _stationary_time(modes, rates)
     scored = [(m0 + m1 + m2, 0.0, None)]      # weights (1, 1, 1, 0): propagator(0) is I
     for t in ([t_root] if t_root is not None and t_root < t_max else []) + [float(t_max)]:
         a, b, c, d = weights = _mode_weights(t, rates)
         scored.append((a * m0 + b * m1 + c * m2 + d * m3, t, weights))
     top = max(value for value, _, _ in scored)
-    return next((t, proj, weights) for value, t, weights in scored if value >= top - _TIE_TOL)
+    return next((t, weights) for value, t, weights in scored if value >= top - _TIE_TOL)
 
 
 def _fold(state: np.ndarray, passes, rates: RateParams, w: np.ndarray, t_max: float) -> tuple:
@@ -189,8 +189,9 @@ def _fold(state: np.ndarray, passes, rates: RateParams, w: np.ndarray, t_max: fl
             state = np.asarray(start, dtype=float)
         for pulse in _SWAPS[k]:
             state = _step(state, pulse, rates)
-        t, *given = (t_pinned,) if t_pinned is not None else _line_search(w, state, rates, t_max)
-        state = _propagate(state, t, rates, *given)
+        t, weights = ((t_pinned, None) if t_pinned is not None
+                      else _line_search(w, state, rates, t_max))
+        state = _propagate(state, t, rates, weights)
         done[k].append((t, float(state[2]), state))
     return tuple(
         CycleResult(cycle=i, t1=t1, purity_after_seg1=purity1,

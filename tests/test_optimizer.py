@@ -284,8 +284,8 @@ class TestFoldMatchesPublicPath:
 
 
 class TestOnePropagationPerPass:
-    """The line search only chooses; the fold and optimize_laser propagate once,
-    from one projection of the state onto the laser modes."""
+    """The line search only chooses, from one projection of the state onto the
+    laser modes; the fold and optimize_laser propagate once, projecting nothing."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -300,7 +300,7 @@ class TestOnePropagationPerPass:
 
     @pytest.fixture
     def projections(self, monkeypatch):
-        # _MODES @ vec is the projection; the fold and the laser step both read _MODES.
+        # _MODES @ vec is the projection; the line search reads _MODES, the laser step never.
         made = []
 
         class Modes(np.ndarray):
@@ -329,17 +329,17 @@ class TestOnePropagationPerPass:
         assert calls == [t]
 
     @pytest.mark.parametrize("strategy", [INTERLEAVED, BLOCKED])
-    @pytest.mark.parametrize("overrides, pinned_zero", [
-        (None, 0), (REFERENCE_CYCLE1_OVERRIDES, 0), (CycleOverrides(t1=0.0), 1),
+    @pytest.mark.parametrize("overrides, pinned", [
+        (None, 0), (REFERENCE_CYCLE1_OVERRIDES, 2), (CycleOverrides(t1=0.0), 1),
         (CycleOverrides(t1=0.0, t2=0.0), 2)])
-    def test_schedule_projects_each_pass_once(self, projections, strategy, overrides,
-                                              pinned_zero):
-        # A searched pass projects once to choose, and steps from that projection
-        # when it picks t > 0; a pass pinned to t = 0 projects nothing.
+    def test_schedule_projects_each_searched_pass_once(self, projections, strategy,
+                                                       overrides, pinned):
+        # A searched pass projects once, in the line search; a pinned pass, at
+        # t = 0 or not, projects nothing, and neither does any laser step.
         p0 = initial_state()
         projections.clear()
         s = optimize_schedule(p0, n_cycles=4, strategy=strategy, cycle1_overrides=overrides)
-        assert len(projections) == 8 - pinned_zero
+        assert len(projections) == 8 - pinned
         durations = [t for row in s.cycles for t in (row.t1, row.t2)]
         assert 0.0 in durations and any(t > 0.0 for t in durations)
 
@@ -349,14 +349,13 @@ class TestOnePropagationPerPass:
             assert (t > 0.0) == (p is SEG2_POST_SWAP)
             assert len(projections) == 1 and np.array_equal(projections.pop(), p)
 
-    def test_laser_step_projects_only_when_it_moves(self, projections):
+    def test_laser_step_never_projects(self, projections):
         p = SEG2_POST_SWAP
-        for t, made in ((0.0, 0), (0.5, 1)):
+        for t in (0.0, 0.5):
             propagate(p, t)
             apply_pulse(p, Laser(t))
             run_sequence(p, [Laser(t)])
-            assert len(projections) == 3 * made
-            projections.clear()
+            assert len(projections) == 0
 
 
 class TestValidatedDust:

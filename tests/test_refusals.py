@@ -287,6 +287,14 @@ def test_scalar_refused_in_one_line(entry, kwargs, message):
      "population vector must hold real numbers, got False at index 5"),
     (run_sequence, {"p": (0.0, 0.0, True, 0.0, 0.0, 0.0), "pulses": ()},
      "population vector must hold real numbers, got True at index 2"),
+    # A ragged nesting used to leak numpy's multi-line "inhomogeneous shape" error.
+    (validate_population, {"p": [[1.0], 0, 0, 0, 0, 0]},
+     "population vector must be a flat sequence of numbers, got [[1.0], 0, 0, 0, 0, 0]"),
+    (propagate, {"p": (0.5, [0.5, 0.0], 0, 0, 0, 0), "t": 1.0},
+     "population vector must be a flat sequence of numbers, got (0.5, [0.5, 0.0], 0, 0, 0, 0)"),
+    (run_sequence, {"p": [np.zeros(2), 1.0, 0, 0, 0, 0], "pulses": ()},
+     "population vector must be a flat sequence of numbers, "
+     "got [array([0., 0.]), 1.0, 0, 0, 0, 0]"),
     (validate_population, {"p": ["0", "0", "1", "0", "0", "0"]},
      "population vector must hold real numbers, got dtype <U1"),
     (validate_population, {"p": {"p00": 1.0}},

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from nvinit.spinmodel import (_MODES, RateParams, _mode_weights, _stationary_time,
-                              propagate, propagate_numeric, propagator, rate_matrix,
-                              seg1_reference_solution, seg2_reference_solution,
+from nvinit.spinmodel import (_MODES, NUCLEAR_MIRROR, RateParams, _mode_weights,
+                              _stationary_time, propagate, propagate_numeric, propagator,
+                              rate_matrix, seg1_reference_solution, seg2_reference_solution,
                               steady_state, validate_population)
 
 STEADY = np.array([1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0])
@@ -345,6 +347,57 @@ class TestPropagate:
             p = random_simplex(rng)
             t = rng.uniform(0.0, 5.0)
             assert np.abs(propagate(p[perm], t) - propagate(p, t)[perm]).max() < 1e-12
+
+
+def dust_clamped(q):
+    """q with its negative entries zeroed and their sum added to the largest entry."""
+    q = q.copy()
+    dust = q < 0.0
+    if dust.any():
+        q[q.argmax()] += q[dust].sum()
+        q[dust] = 0.0
+    return q
+
+
+class TestFloatLaserStep:
+    """propagate is the closed form of the four modes on six Python floats."""
+
+    def cases(self, n=20000):
+        # Five kinds of 4000: any rates, k_i = 0, 3 k_i = k_s exactly, t = 0,
+        # t >= 100 us; every third state carries dust in [-1e-9, 0).
+        rng = np.random.default_rng(20211)
+        kind = np.arange(n) % 5
+        ks, ki = rng.uniform(0.05, 20.0, n), rng.uniform(0.0, 10.0, n)
+        ki[kind == 1] = 0.0
+        ki[kind == 2] = rng.uniform(0.01, 7.0, (kind == 2).sum())
+        ks[kind == 2] = 3.0 * ki[kind == 2]
+        t = rng.uniform(0.0, 30.0, n)
+        t[kind == 3] = 0.0
+        t[kind == 4] = rng.uniform(100.0, 1e4, (kind == 4).sum())
+        p = rng.random((n, 6))
+        p[np.arange(n), rng.integers(0, 6, n)] += 1.0
+        p /= p.sum(axis=1, keepdims=True)
+        pairs = rng.permuted(np.tile(np.arange(6), (n, 1)), axis=1)[:, :2]
+        dust = rng.uniform(1e-18, 1e-9, n)
+        for c in range(0, n, 3):        # the sum is kept: the dust moves to another entry
+            i, j = pairs[c]
+            p[c, j] += p[c, i] + dust[c]
+            p[c, i] = -dust[c]
+        assert np.all(3.0 * ki[kind == 2] == ks[kind == 2])
+        for c in range(n):
+            yield p[c], float(t[c]), RateParams(k_s=float(ks[c]), k_i=float(ki[c]))
+
+    def test_matches_the_propagator_keeps_the_sum_and_the_mirror(self):
+        mirror = list(NUCLEAR_MIRROR)
+        worst = worst_sum = 0.0
+        for p, t, rates in self.cases():
+            q = propagate(p, t, rates)
+            worst = max(worst, np.abs(q - dust_clamped(propagator(t, rates) @ p)).max())
+            worst_sum = max(worst_sum, abs(math.fsum(q.tolist()) - 1.0))
+            assert q.min() >= 0.0
+            assert np.array_equal(propagate(p[mirror], t, rates)[mirror], q)
+        assert worst <= 1e-15
+        assert worst_sum <= 1e-15
 
 
 class TestPropagateNumeric:
