@@ -12,8 +12,8 @@ Global flags --config/--out/--seed may appear before or after the
 subcommand.  --seed is reserved: the model is deterministic, the flag is
 accepted so batch drivers can pass it uniformly.  Every command is
 deterministic given its inputs; numbers are serialized with 9
-significant digits; errors produce a single-line diagnostic on stderr
-and a nonzero exit status.
+significant digits, and population entries below 1e-15 as 0.0; errors
+produce a single-line diagnostic on stderr and a nonzero exit status.
 """
 
 from __future__ import annotations
@@ -58,7 +58,9 @@ def _rounded_fields(record) -> dict:
 
 
 def _state_list(state) -> list:
-    return [_round9(v) for v in np.asarray(state, dtype=float)]
+    """The entries rounded to 9 digits; below 1e-15 an entry is rounding residue,
+    whose digits depend on summation order, and is written as 0.0."""
+    return [0.0 if abs(v) < 1e-15 else _round9(v) for v in np.asarray(state, dtype=float)]
 
 
 def _write_csv(path: Path, header, rows) -> None:

@@ -12,11 +12,12 @@ one fold over a list of laser passes, ordered by the strategy:
 Both objectives are linear functionals w . p of the state, so along a
 laser pulse each is a constant plus three exponential modes with at most
 one stationary point, spinmodel._stationary_time: the optimum over a
-duration interval is at an end or at that point.  A searched pass
-projects its state onto the laser modes once, to score the line search's
-candidates; the laser step (spinmodel._propagate, six Python floats)
-projects nothing and reuses the winner's mode weights.  Public functions
-check their inputs once, and identical inputs give bit-identical schedules.
+duration interval is at an end or at that point.  A searched pass scores
+the line search's candidates on its state's four mode coefficients,
+spinmodel._mode_values, and the laser step, spinmodel._propagate, reuses
+the winner's mode weights: both run on six Python floats, and no pass makes
+a numpy projection.  Public functions check their inputs once, and
+identical inputs give bit-identical schedules.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .pulses import _SWAPS, _step
-from .spinmodel import (_MODES, RateParams, _check_number, _check_record, _mode_weights,
+from .spinmodel import (RateParams, _check_number, _check_record, _mode_values, _mode_weights,
                         _propagate, _shown, _stationary_time, validate_population)
 
 __all__ = [
@@ -158,13 +159,14 @@ def optimize_laser(p_post_swaps, rates: RateParams = RateParams(),
     """
     w, p = _check_rules(objective, t_max), validate_population(p_post_swaps)
     _check_record("rates", rates, RateParams)
-    t, weights = _line_search(w, p, rates, t_max)
+    t, weights = _line_search(w.tolist(), p, rates, t_max)
     return t, float(w @ _propagate(p, t, rates, weights))
 
 
-def _line_search(w: np.ndarray, p: np.ndarray, rates: RateParams, t_max: float) -> tuple:
-    """optimize_laser's (t, _mode_weights(t) or None at t = 0); propagates nothing."""
-    m0, m1, m2, m3 = modes = (_MODES @ p @ w).tolist()
+def _line_search(w: list, p: np.ndarray, rates: RateParams, t_max: float) -> tuple:
+    """optimize_laser's (t, _mode_weights(t) or None at t = 0) for weights w as six
+    floats; scores on spinmodel._mode_values, projects and propagates nothing."""
+    m0, m1, m2, m3 = modes = _mode_values(w, p.tolist())
     t_root = _stationary_time(modes, rates)
     scored = [(m0 + m1 + m2, 0.0, None)]      # weights (1, 1, 1, 0): propagator(0) is I
     for t in ([t_root] if t_root is not None and t_root < t_max else []) + [float(t_max)]:
@@ -174,14 +176,15 @@ def _line_search(w: np.ndarray, p: np.ndarray, rates: RateParams, t_max: float) 
     return next((t, weights) for value, t, weights in scored if value >= top - _TIE_TOL)
 
 
-def _fold(state: np.ndarray, passes, rates: RateParams, w: np.ndarray, t_max: float) -> tuple:
+def _fold(state: np.ndarray, passes, rates: RateParams, w: list, t_max: float) -> tuple:
     """Run laser passes in order; row i pairs the i-th seg1 and seg2 passes.
 
     A pass is (segment index, pinned duration or None, start state or
     None), the index 0 for seg1 and 1 for seg2.  A start state replaces
     the incoming one, the segment's pulses._SWAPS run, and its laser runs
-    once, for the pinned duration or the line search's pick on w, through
-    the pulse step of pulses.apply_pulse; the callers checked every input.
+    once, for the pinned duration or the line search's pick on w (the
+    objective's weights as six floats), through the pulse step of
+    pulses.apply_pulse; the callers checked every input.
     """
     done = ([], [])
     for k, t_pinned, start in passes:
@@ -239,5 +242,5 @@ def optimize_schedule(p0, rates: RateParams = RateParams(), objective: str = P00
     seconds = [(1, ov1.t2, seg2_start)] + [(1, None, None)] * (n_cycles - 1)
     passes = (firsts + seconds if strategy == BLOCKED
               else [p for cycle in zip(firsts, seconds) for p in cycle])
-    rows = _fold(validate_population(p0), passes, rates, w, t_max)
+    rows = _fold(validate_population(p0), passes, rates, w.tolist(), t_max)
     return Schedule(strategy, rows, rows[-1].purity_after_seg2)

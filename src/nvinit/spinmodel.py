@@ -9,10 +9,12 @@ During laser illumination the electron repolarizes (-1 -> 0) at rate k_s
 while the nuclear spin hops between the m_I levels of the m_s=0 manifold
 at rate k_i.  All times are in microseconds, rates in 1/us.  Under the
 laser exp(M t) is four constant _MODES against four weights of t (see
-propagator); _stationary_time solves where w . exp(M t) p is stationary.
-The laser step, _propagate, applies the modes to a state in closed form on
-six Python floats (two means and a constant, then one line per entry): it
-forms no matrix and makes no numpy projection.
+propagator); _stationary_time solves where w . exp(M t) p is stationary,
+from the four coefficients w . P_k p that _mode_values forms.  Both
+_mode_values and the laser step, _propagate, apply the modes to a state in
+closed form on six Python floats (the means of the m_s = 0 and m_s = -1
+entries, then one line per result): neither forms a matrix or makes a
+numpy projection, and only propagator reads _MODES.
 
 _check_number, defined here, is the package's one rule for a public
 scalar input (a rate, a duration, a count, a record field): a finite real
@@ -268,8 +270,8 @@ def _mode_weights(t: float, rates: RateParams) -> tuple[float, float, float, flo
 def _stationary_time(modes, rates: RateParams) -> float | None:
     """The t > 0 where f(t) = _mode_weights(t, rates) @ modes is stationary, or None.
 
-    For modes = _MODES @ p @ w, f(t) = w . propagator(t) @ p = c0 + e^{-m t} [A +
-    B e^{-g t} + C phi_1(t)]: m = min(k_s, 3k_i), g = |3k_i - k_s|, phi_1 as in
+    For modes = _mode_values(w, p), f(t) = w . propagator(t) @ p = c0 + e^{-m t} [A
+    + B e^{-g t} + C phi_1(t)]: m = min(k_s, 3k_i), g = |3k_i - k_s|, phi_1 as in
     propagator, C = k_s w Pc p, and A, B are w P3 p and w Ps p, the slower decay
     first.  f'(t) = 0 has at most one root, e^{-g t} = 1 + g K / D with K = m A -
     C + (m + g) B and D = g (C - (m + g) B) + m C; at g = 0 its limit t = -K / D.
@@ -284,6 +286,24 @@ def _stationary_time(modes, rates: RateParams) -> float | None:
         return None
     t = -math.log1p(g * k / d) / g if g > 0.0 else -k / d
     return t if t > 0.0 else None
+
+
+def _mode_values(w, values) -> tuple[float, float, float, float]:
+    """The four coefficients w . P_k p of the _MODES, on six Python floats each.
+
+    With w = (w_u, w_v), values = (u, v) and the means s_u, s_v of u and v that
+    _propagate forms: w P0 p = (s_u + s_v) sum(w_u), w P3 p = sum(w_u,i (u_i - s_u)),
+    w Ps p = w_v . v - s_v sum(w_u) and w Pc p = sum(w_u,i (v_i - s_v)), the
+    _MODES @ p @ w that _stationary_time reads, without a numpy projection.
+    Sums run left to right, as in _propagate.
+    """
+    a, b, c, x, y, z = w
+    u0, u1, u2, v0, v1, v2 = values
+    su = (u0 + u1 + u2) / 3.0
+    sv = (v0 + v1 + v2) / 3.0
+    wu = a + b + c
+    return ((su + sv) * wu, a * (u0 - su) + b * (u1 - su) + c * (u2 - su),
+            x * v0 + y * v1 + z * v2 - sv * wu, a * (v0 - sv) + b * (v1 - sv) + c * (v2 - sv))
 
 
 def _propagate(vec: np.ndarray, t: float, rates: RateParams, weights=None) -> np.ndarray:
@@ -346,8 +366,8 @@ def propagate_numeric(p, t: float, rates: RateParams = RateParams(),
         raise ValueError(f"step must be at least {t / 1e7:g} for duration {t:g} "
                          f"(at most 1e7 steps), got {step}")
     vec = validate_population(p)
-    if t == 0.0:
-        return vec.copy()
+    if t == 0.0:        # the identity, under the same dust rule as propagate
+        return _clamp_dust(vec.tolist())
     n = int(np.ceil(t / step))
     hm = (t / n) * rate_matrix(rates)
     hm2 = hm @ hm

@@ -278,6 +278,19 @@ class TestSimulate:
         assert doc["trace"] == []
         assert doc["final_state"] == doc["initial_state"] == [0, 0, 1, 0, 0, 0]
 
+    def test_state_residue_below_1e_15_is_written_as_zero(self, tmp_path, capsys):
+        # |-1,0> decays as e^{-k_s t}: 1.4e-13 after 8 us stays, 8.2e-17 after 10 us is
+        # below 1e-15 and is written as 0.0, as are summation-order residue and -0.0.
+        seq = tmp_path / "seq.yaml"
+        seq.write_text("initial_state: [0, 0, 0, 0, 0, 1]\npulses:\n"
+                       "  - {kind: laser, duration_us: 8}\n  - {kind: laser, duration_us: 2}\n")
+        assert main(["simulate", str(seq), "--out", str(tmp_path)]) == 0
+        doc = yaml.safe_load(capsys.readouterr().out)
+        assert doc["trace"][0]["state"][5] == pytest.approx(1.4e-13, rel=0.1)
+        assert doc["final_state"][3:] == [0.0, 0.0, 0.0]
+        assert cli._state_list([5.13391769e-18, -0.0, -1e-16, 1e-15, 0.25, 0.75]) == [
+            0.0, 0.0, 0.0, 1e-15, 0.25, 0.75]
+
     # Stdout digests of an empty and a seven-pulse sequence (a reversed pair, a
     # lossy swap, lasers of 1e-7, 2 and 0 us): the trace text and states are pinned.
     @pytest.mark.parametrize("text, want", [

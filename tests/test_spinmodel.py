@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nvinit.spinmodel import (_MODES, NUCLEAR_MIRROR, RateParams, _mode_weights,
+from nvinit.spinmodel import (_MODES, NUCLEAR_MIRROR, RateParams, _mode_values, _mode_weights,
                               _stationary_time, propagate, propagate_numeric, propagator,
                               rate_matrix, seg1_reference_solution, seg2_reference_solution,
                               steady_state, validate_population)
@@ -400,6 +400,27 @@ class TestFloatLaserStep:
         assert worst_sum <= 1e-15
 
 
+class TestModeValues:
+    """_mode_values is the projection _MODES @ p @ w, on six Python floats."""
+
+    def test_matches_the_projection(self):
+        # Each case of TestFloatLaserStep, as given (dusty every third) and after
+        # its laser step (k_i = 0 and 3 k_i = k_s among the rates), against the
+        # weights of both objectives and a random w in [-1, 1]^6 in turn.
+        rng = np.random.default_rng(20212)
+        objectives = [np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
+                      np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0])]
+        worst, n = 0.0, 0
+        for c, (p, t, rates) in enumerate(TestFloatLaserStep().cases()):
+            w = objectives[c % 3] if c % 3 < 2 else rng.uniform(-1.0, 1.0, 6)
+            for state in (p, propagate(p, t, rates)):
+                got = np.array(_mode_values(w.tolist(), state.tolist()))
+                worst = max(worst, np.abs(got - _MODES @ state @ w).max())
+                n += 1
+        assert n == 40000
+        assert worst <= 1e-15
+
+
 class TestPropagateNumeric:
     def test_matches_closed_form(self):
         for t in (0.1, 0.5, 1.0, 4.0):
@@ -409,6 +430,12 @@ class TestPropagateNumeric:
 
     def test_zero_time(self):
         assert np.abs(propagate_numeric(SEG1_START, 0.0) - SEG1_START).max() == 0.0
+
+    def test_zero_time_clamps_dust_as_propagate(self):
+        p = [0.5, 0.5 + 5e-10, 0.0, 0.0, 0.0, -5e-10]
+        q = propagate_numeric(p, 0.0)
+        assert q[5] == 0.0 and q.min() >= 0.0
+        assert np.array_equal(q, propagate(p, 0.0))
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
