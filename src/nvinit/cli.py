@@ -11,9 +11,11 @@ Five subcommands cover the data products of the initialization study:
 Global flags --config/--out/--seed may appear before or after the
 subcommand.  --seed is reserved: the model is deterministic, the flag is
 accepted so batch drivers can pass it uniformly.  Every command is
-deterministic given its inputs; numbers are serialized with 9
-significant digits, and population entries below 1e-15 as 0.0; errors
-produce a single-line diagnostic on stderr and a nonzero exit status.
+deterministic given its inputs.  Its two writers, _write_csv and
+_emit_yaml, write every number by one rule (_fmt): 9 significant digits,
+and any magnitude below 1e-15 as 0, the rounding residue of order-1
+numbers.  Errors produce a single-line diagnostic on stderr and a
+nonzero exit status.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import yaml
 from .config import _read, load_config, parse_sequence
 from .hamiltonian import transition_table
 from .optimizer import REFERENCE_CYCLE1_OVERRIDES, optimize_schedule
-from .pulses import _SWAPS, _step, initial_state, run_sequence
+from .pulses import initial_state, run_sequence, seg1, seg2
 from .spinmodel import _check_number, _propagate, validate_population
 from .tomography import (amplitudes, calibration_spectrum, extract_amplitudes,
                          spectrum, synthesize_fid)
@@ -45,33 +47,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "error: " + " ".join(message.split()) + "\n")
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.9g}"
+def _fmt(value) -> str:
+    value = float(value)
+    return "0" if -1e-15 < value < 1e-15 else f"{value:.9g}"     # NaN fails both tests
 
 
-def _round9(value: float) -> float:
-    return float(_fmt(value))
-
-
-def _rounded_fields(record) -> dict:
-    return {name: _round9(value) for name, value in dataclasses.asdict(record).items()}
-
-
-def _state_list(state) -> list:
-    """The entries rounded to 9 digits; below 1e-15 an entry is rounding residue,
-    whose digits depend on summation order, and is written as 0.0."""
-    return [0.0 if abs(v) < 1e-15 else _round9(v) for v in np.asarray(state, dtype=float)]
-
-
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, rows, labels=None) -> None:
+    """Rows of numbers, each after its text cells from labels when those are given."""
+    cells = (map(_fmt, row) for row in rows)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(cells if labels is None else
+                         ([*text, *row] for text, row in zip(labels, cells)))
 
 
-def _emit_yaml(doc: dict) -> None:
-    sys.stdout.write(yaml.safe_dump(doc, sort_keys=False))
+def _plain(node):
+    """A document as YAML plain data: records as dicts, arrays and tuples as lists,
+    floats by _fmt's rule; ints and strings are kept."""
+    if dataclasses.is_dataclass(node):
+        node = dataclasses.asdict(node)
+    if isinstance(node, dict):
+        return {key: _plain(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple, np.ndarray)):
+        return [_plain(value) for value in node]
+    return float(_fmt(node)) if isinstance(node, float) else node
+
+
+def _emit_yaml(doc: dict, path: Path | None = None) -> None:
+    """Write a document to stdout, and first to path when one is given."""
+    text = yaml.safe_dump(_plain(doc), sort_keys=False)
+    if path is not None:
+        path.write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
 
 
 def _setup(args, need_out: bool = True):
@@ -84,19 +92,16 @@ def _setup(args, need_out: bool = True):
 
 
 def _pair_text(pair) -> str:
-    (a, b) = pair
-    return f"({a[0]},{a[1]})<->({b[0]},{b[1]})"
+    return "<->".join(f"({m_s},{m_i})" for m_s, m_i in pair)
 
 
 def _cmd_transitions(args) -> int:
     cfg, out = _setup(args)
-    rows = []
-    for ref, computed, deviation in transition_table(cfg.hamiltonian):
-        rows.append([_pair_text(ref.pair), ref.kind, _fmt(computed),
-                     _fmt(ref.reference_freq), _fmt(deviation)])
+    table = transition_table(cfg.hamiltonian)
     path = out / "transitions.csv"
-    _write_csv(path, ["pair", "kind", "computed_mhz",
-                      "reference_mhz", "deviation_mhz"], rows)
+    _write_csv(path, ["pair", "kind", "computed_mhz", "reference_mhz", "deviation_mhz"],
+               ([computed, ref.reference_freq, deviation] for ref, computed, deviation in table),
+               [(_pair_text(ref.pair), ref.kind) for ref, _, _ in table])
     print(f"wrote {path}")
     return 0
 
@@ -106,17 +111,17 @@ def _cmd_sweep(args) -> int:
     _check_number("--steps", args.steps, 2, integer=True)
     _check_number("--t-max", args.t_max, 0, strict=True)
     if args.segment == "seg1":
-        k, state = 0, initial_state(cfg.rates)
+        start, seg = initial_state(cfg.rates), seg1
     else:
-        # The tabulated post-seg1 state (checked when it was built), so the
-        # sweep reproduces the reference figure rather than a model-chained run.
-        k, state = 1, np.asarray(REFERENCE_CYCLE1_OVERRIDES.seg2_start, dtype=float)
-    for pulse in _SWAPS[k]:     # both starts are valid: no state is checked again
-        state = _step(state, pulse, cfg.rates)
+        # The tabulated post-seg1 state, so the sweep reproduces the
+        # reference figure rather than a model-chained run.
+        start, seg = REFERENCE_CYCLE1_OVERRIDES.seg2_start, seg2
+    # The segment's swaps (all but its laser) check the start once; no grid point is checked.
+    state, _ = run_sequence(start, seg(0.0).pulses[:-1], cfg.rates)
     rows = []
     for t in np.linspace(0.0, args.t_max, args.steps):
         p = _propagate(state, float(t), cfg.rates)      # p[:3] - p[3:] is amplitudes(p)
-        rows.append([_fmt(v) for v in (t, *p, *(p[:3] - p[3:]), p[0] + p[1] + p[2])])
+        rows.append([t, *p, *(p[:3] - p[3:]), p[0] + p[1] + p[2]])
     path = out / f"sweep_{args.segment}.csv"
     _write_csv(path, ["duration_us", "p0", "p1", "p2", "p3", "p4", "p5",
                       "a_minus1", "a_plus1", "a_zero", "total_ms0"], rows)
@@ -146,34 +151,30 @@ def _cmd_spectrum(args) -> int:
 
     taus = np.arange(fp.n_samples) * fp.dt
     fid_path = out / "fid.csv"
-    _write_csv(fid_path, ["tau_us", "re", "im"],
-               ([_fmt(t), _fmt(z.real), _fmt(z.imag)] for t, z in zip(taus, fid)))
+    _write_csv(fid_path, ["tau_us", "re", "im"], zip(taus, fid.real, fid.imag))
     spec_path = out / "spectrum.csv"
-    magnitude = spec.magnitude()
-    _write_csv(spec_path, ["freq_mhz", "magnitude"],
-               ([_fmt(f), _fmt(m)] for f, m in zip(spec.freqs_mhz, magnitude)))
+    _write_csv(spec_path, ["freq_mhz", "magnitude"], zip(spec.freqs_mhz, spec.magnitude()))
 
     _emit_yaml({
         "fid_csv": str(fid_path),
         "spectrum_csv": str(spec_path),
-        "state": _state_list(state),
+        "state": state,
         "fid_params": {
-            "detuning_mhz": _round9(fp.detuning),
-            "hyperfine_split_mhz": _round9(fp.hyperfine_split),
-            "t2star_us": _round9(fp.t2star),
-            "dt_us": _round9(fp.dt),
+            "detuning_mhz": fp.detuning,
+            "hyperfine_split_mhz": fp.hyperfine_split,
+            "t2star_us": fp.t2star,
+            "dt_us": fp.dt,
             "n_samples": fp.n_samples,
             "padded_length": fp.padded_length,
         },
-        "fft_convention": "unnormalized forward sum, zero-padded, "
-                          "zero frequency centered",
+        "fft_convention": "unnormalized forward sum, zero-padded, zero frequency centered",
         "line_frequencies_mhz": {
-            "mi_minus1": _round9(fp.line_frequency(-1)),
-            "mi_plus1": _round9(fp.line_frequency(+1)),
-            "mi_zero": _round9(fp.line_frequency(0)),
+            "mi_minus1": fp.line_frequency(-1),
+            "mi_plus1": fp.line_frequency(+1),
+            "mi_zero": fp.line_frequency(0),
         },
-        "model_amplitudes": _rounded_fields(model),
-        "extracted_amplitudes": _rounded_fields(extracted),
+        "model_amplitudes": model,
+        "extracted_amplitudes": extracted,
     })
     return 0
 
@@ -185,28 +186,18 @@ def _cmd_optimize(args) -> int:
                                  settings.objective, settings.n_cycles,
                                  settings.strategy, settings.cycle1,
                                  t_max=settings.t_max)
-    rows = [{
-        "cycle": row.cycle,
-        "t1_us": _round9(row.t1),
-        "purity_after_seg1": _round9(row.purity_after_seg1),
-        "t2_us": _round9(row.t2),
-        "purity_after_seg2": _round9(row.purity_after_seg2),
-    } for row in schedule.cycles]
-    # _fmt(_round9(x)) == _fmt(x), so the CSV cells come from the YAML rows.
-    csv_path = out / "schedule.csv"
-    _write_csv(csv_path, list(rows[0]),
-               ([_fmt(v) for v in row.values()] for row in rows))
-    doc = {
+    rows = [{"cycle": row.cycle, "t1_us": row.t1, "purity_after_seg1": row.purity_after_seg1,
+             "t2_us": row.t2, "purity_after_seg2": row.purity_after_seg2}
+            for row in schedule.cycles]
+    _write_csv(out / "schedule.csv", list(rows[0]), (row.values() for row in rows))
+    _emit_yaml({
         "strategy": schedule.strategy,
         "objective": settings.objective,
         "n_cycles": settings.n_cycles,
-        "final_purity": _round9(schedule.final_purity),
-        "end_state": _state_list(schedule.end_state),
+        "final_purity": schedule.final_purity,
+        "end_state": schedule.end_state,
         "cycles": rows,
-    }
-    text = yaml.safe_dump(doc, sort_keys=False)
-    (out / "schedule.yaml").write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+    }, out / "schedule.yaml")
     return 0
 
 
@@ -216,10 +207,10 @@ def _cmd_simulate(args) -> int:
     state = start if start is not None else initial_state(cfg.rates)
     final, trace = run_sequence(state, pulses, cfg.rates)
     _emit_yaml({
-        "initial_state": _state_list(state),
+        "initial_state": state,
         "trace": [{"step": record.index, "pulse": record.description,
-                   "state": _state_list(record.state)} for record in trace],
-        "final_state": _state_list(final),
+                   "state": record.state} for record in trace],
+        "final_state": final,
     })
     return 0
 

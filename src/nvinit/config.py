@@ -237,6 +237,8 @@ _ROOT_KEYS = {
 
 
 def _load_yaml(text: str):
+    if not (isinstance(text, (str, bytes)) or hasattr(text, "read")):    # text or a stream
+        raise ConfigError(f"a document must be text or a stream, got {type(text).__name__}")
     try:
         return yaml.safe_load(text)
     # RecursionError: nested too deeply; ValueError: a constructor refused a value (2001-13-45)
@@ -251,6 +253,9 @@ def parse_config(text: str) -> Config:
 
 def _read(path: str, kind: str) -> str:
     """The text of a document file; the one place a document is opened."""
+    if isinstance(path, int):   # open() would take it (a bool too) as a file descriptor
+        raise ConfigError(f"{kind} path must be a str, bytes or os.PathLike, "
+                          f"got {type(path).__name__}")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()

@@ -173,7 +173,11 @@ def run_segment(p, segment: Segment, rates: RateParams = RateParams()):
 
 def run_sequence(p, pulses, rates: RateParams = RateParams()):
     """Run a bare pulse list (no segment labels); same contract as run_segment."""
-    return run_segment(p, Segment("custom", tuple(pulses)), rates)
+    try:
+        pulses = tuple(pulses)
+    except TypeError:       # not iterable
+        raise ValueError(f"pulses must be an iterable, got {type(pulses).__name__}") from None
+    return run_segment(p, Segment("custom", pulses), rates)
 
 
 def initial_state(rates: RateParams = RateParams(), init_laser: float = 5.0) -> np.ndarray:

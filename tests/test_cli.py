@@ -288,8 +288,8 @@ class TestSimulate:
         doc = yaml.safe_load(capsys.readouterr().out)
         assert doc["trace"][0]["state"][5] == pytest.approx(1.4e-13, rel=0.1)
         assert doc["final_state"][3:] == [0.0, 0.0, 0.0]
-        assert cli._state_list([5.13391769e-18, -0.0, -1e-16, 1e-15, 0.25, 0.75]) == [
-            0.0, 0.0, 0.0, 1e-15, 0.25, 0.75]
+        assert [cli._fmt(v) for v in (5.13391769e-18, -0.0, -1e-16, 1e-15, 0.25, 0.75)] == [
+            "0", "0", "0", "1e-15", "0.25", "0.75"]
 
     # Stdout digests of an empty and a seven-pulse sequence (a reversed pair, a
     # lossy swap, lasers of 1e-7, 2 and 0 us): the trace text and states are pinned.
@@ -433,7 +433,7 @@ class TestOutputDigests:
         (["sweep", "seg1"], {
             "stdout": "3f5a39ca823427c2a65d5fe69a54004cab58dcfdf87a0e98b70106382167b610",
             "sweep_seg1.csv":
-                "6ecb1c8287f1d07bd175fb79d434a21384cbe6f404658a8d8dac3c0faa608181"}),
+                "94af3a3cd2dc6905e6aca8dc94d9c5c45f56aaa9d31b088f592a7fb79f9d233f"}),
         (["sweep", "seg2", "--t-max", "7", "--steps", "1001"], {
             "stdout": "d51cfca06e698c1936f5da74c1f09de1d9faf52f74eba39bf681abe8a18ba7bd",
             "sweep_seg2.csv":
@@ -442,7 +442,7 @@ class TestOutputDigests:
             "stdout": "e44a105c334241f5f82969473d2acad9d2806b0340b64560a427b04aa3dd5e06"}),
         (["spectrum"], {
             "stdout": "7332825dbb4c0a849c7d53dc69aa6fbf214e89a9ecaaa868bbcb791c2eaf8755",
-            "fid.csv": "f5054ac41504ee8e41c6b10b8d988f7d03d1db7f0b9a4af95194fa8ccca3dfe0",
+            "fid.csv": "44c7e9e59522584da55e76a73313c8208be75c544b0bee802a543c0c5aae41e7",
             "spectrum.csv":
                 "ea17873f5184ba1167cca6c4d002edc8ea8669d9e62300e8e910a0fc57159177"}),
         (["transitions"], {
@@ -460,7 +460,42 @@ class TestOutputDigests:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "seq.yaml").write_text(MW_SWAP_SEQUENCE)
         assert main(argv + ["--out", "out"]) == 0
-        got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+        stdout = capsys.readouterr().out
+        got = {"stdout": hashlib.sha256(stdout.encode()).hexdigest()}
         for path in sorted((tmp_path / "out").glob("*")):
             got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert got == want
+        # The FID's imaginary part at tau = 0.5 n us is analytically 0; 81 cells of
+        # rounding noise there, and 16 of sweep seg1, used to be written.
+        assert _residue(stdout, tmp_path / "out") == []
+
+    def test_a_decay_through_1e_15_is_written_as_zero(self, tmp_path, monkeypatch, capsys):
+        # With k_i = 0 a long sweep's p3..p5 decay through 1e-15; 866 cells used to be written.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "k_i0.yaml").write_text("rates: {k_s_per_us: 3.7, k_i_per_us: 0}\n")
+        argv = ["sweep", "seg1", "--t-max", "20", "--steps", "401", "--config", "k_i0.yaml"]
+        assert main(argv + ["--out", "out"]) == 0
+        assert _residue(capsys.readouterr().out, tmp_path / "out") == []
+
+
+def _floats(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [value for item in node for value in _floats(item)]
+    return [node] if isinstance(node, float) else []
+
+
+def _residue(stdout, out):
+    """The nonzero numbers below 1e-15 in magnitude in stdout and in out's YAML and CSV
+    files: residue of order-1 arithmetic, which the CLI writes as 0."""
+    texts = [stdout] + [path.read_text() for path in out.glob("*.yaml")]
+    values = [v for text in texts for v in _floats(yaml.safe_load(text))]
+    for path in out.glob("*.csv"):
+        for row in read_rows(path)[1:]:
+            for cell in row:
+                try:
+                    values.append(float(cell))
+                except ValueError:      # a text cell
+                    pass
+    return [v for v in values if 0 < abs(v) < 1e-15]

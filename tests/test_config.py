@@ -1,3 +1,5 @@
+import io
+import os
 import re
 
 import pytest
@@ -238,6 +240,33 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(str(tmp_path / "nope.yaml"))
+
+    def test_path_like_bytes_and_streams_are_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("output_dir: run1\n")
+        monkeypatch.chdir(tmp_path)
+        assert load_config(path).output_dir == "run1"
+        assert load_config(b"cfg.yaml").output_dir == "run1"
+        assert parse_config(path.read_bytes()).output_dir == "run1"
+        assert parse_config(io.StringIO("output_dir: run1\n")).output_dir == "run1"
+        with open(path, encoding="utf-8") as handle:
+            assert parse_config(handle).output_dir == "run1"
+
+    def test_a_descriptor_or_bool_is_not_a_path(self):
+        # open() took an int (a bool too) as a file descriptor, read it and closed
+        # it: load_config(False) used to consume and close stdin.
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"output_dir: run1\n")
+        os.close(write_end)
+        try:
+            for value in (read_end, False):
+                message = ("config path must be a str, bytes or os.PathLike, "
+                           f"got {type(value).__name__}")
+                with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+                    load_config(value)
+            assert os.read(read_end, 100) == b"output_dir: run1\n"     # open and unread
+        finally:
+            os.close(read_end)
 
     def test_non_utf8_file_names_its_path(self, tmp_path):
         # This used to raise a bare UnicodeDecodeError, not a ConfigError.

@@ -49,6 +49,17 @@ def test_config_value_refused(text, message):
         parse_config(text)
 
 
+# Non-text used to leak PyYAML's "AttributeError: ... has no attribute 'read'".
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_config, None, "a document must be text or a stream, got NoneType"),
+    (parse_config, 5, "a document must be text or a stream, got int"),
+    (parse_sequence, 3.5, "a document must be text or a stream, got float"),
+])
+def test_document_that_is_not_text(parse, text, message):
+    with refused(ConfigError, message):
+        parse(text)
+
+
 def test_pulse_pair_that_is_not_two_levels():
     with refused(ConfigError, "pulses[0].pair must be two (m_s, m_I) pairs"):
         parse_sequence("pulses:\n  - {kind: mw_pi, pair: [1, 2]}\n")
@@ -226,6 +237,9 @@ P = (1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0)
      "rates must be a RateParams, got NoneType"),
     (run_sequence, {"p": P, "pulses": [Laser(1.0), 5]},
      "pulses[1] must be a MwPi or RfPi or Laser, got int"),
+    # A pulses that is not iterable used to leak "'int' object is not iterable".
+    (run_sequence, {"p": P, "pulses": 5}, "pulses must be an iterable, got int"),
+    (run_sequence, {"p": P, "pulses": None}, "pulses must be an iterable, got NoneType"),
     (run_segment, {"p": P, "segment": 5}, "segment must be a Segment, got int"),
     (Segment, {"label": "s", "pulses": [Laser(1.0)]},
      "segment pulses must be a tuple, got list"),
