@@ -27,7 +27,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .config import _read, load_config, parse_sequence
 from .hamiltonian import transition_table
@@ -76,6 +75,7 @@ def _plain(node):
 
 def _emit_yaml(doc: dict, path: Path | None = None) -> None:
     """Write a document to stdout, and first to path when one is given."""
+    import yaml     # only the commands that write YAML pay for the parser
     text = yaml.safe_dump(_plain(doc), sort_keys=False)
     if path is not None:
         path.write_text(text, encoding="utf-8")

@@ -49,8 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import yaml
-
 from .hamiltonian import HamiltonianParams
 from .optimizer import (INTERLEAVED, P00, REFERENCE_CYCLE1_OVERRIDES, CycleOverrides,
                         _check_rules)
@@ -239,6 +237,7 @@ _ROOT_KEYS = {
 def _load_yaml(text: str):
     if not (isinstance(text, (str, bytes)) or hasattr(text, "read")):    # text or a stream
         raise ConfigError(f"a document must be text or a stream, got {type(text).__name__}")
+    import yaml     # here, not at module level: import nvinit loads no YAML parser
     try:
         return yaml.safe_load(text)
     # RecursionError: nested too deeply; ValueError: a constructor refused a value (2001-13-45)

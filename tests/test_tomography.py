@@ -316,7 +316,7 @@ def formula_fid(amps, fp):
 
 
 def formula_spectrum(fid, fp):
-    """Values and grid from an explicit zero pad and fftshift."""
+    """Values and grid from an explicit zero pad and fftshift: numpy's padded FFT."""
     padded = np.zeros(fp.padded_length, dtype=complex)
     padded[: len(fid)] = fid
     return (np.fft.fftshift(np.fft.fft(padded)),
@@ -353,6 +353,20 @@ def bit_equal(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+#: spectrum prunes the padded FFT, so it rounds differently from numpy's
+#: padded FFT: their gap is bounded by SPECTRUM_TOL * max|value|, and the
+#: amplitudes extracted from either by AMPLITUDE_TOL.  A prime n_samples runs
+#: both through Bluestein's algorithm; the widest gap measured, 1.9e-15, is
+#: at n = 257 with a single sample.
+SPECTRUM_TOL = 2e-15
+AMPLITUDE_TOL = 1e-14
+
+
+def spectrum_close(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.abs(got - want).max() <= SPECTRUM_TOL * np.abs(want).max())
+
+
 CACHES = (tomography._basis, tomography._unmixing)
 # 3000 samples: a padded length (12000) that is not a power of two.
 OTHER = FidParams(detuning=-3.1, hyperfine_split=1.7, t2star=0.8, dt=0.05, n_samples=3000)
@@ -378,19 +392,21 @@ class TestCaches:
         for array in (cal.values, cal.freqs_mhz, spec.freqs_mhz, bins, adjugate):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-        assert bit_equal(cal.values, formula_spectrum(formula_fid(THIRD, OTHER), OTHER)[0])
+        assert spectrum_close(cal.values, formula_spectrum(formula_fid(THIRD, OTHER), OTHER)[0])
 
     def test_results_are_fresh_and_writeable(self):
         fp = FidParams(n_samples=256)
         fid = synthesize_fid(THIRD, fp)
         spec = spectrum(fid, fp)
+        first = spec.values.copy()
         assert fid.flags.writeable and spec.values.flags.writeable
         fid[:] = 7.0
         spec.values[:] = 7.0
         assert bit_equal(synthesize_fid(THIRD, fp), formula_fid(THIRD, fp))
         again = spectrum(synthesize_fid(THIRD, fp), fp)
         assert again.values is not spec.values
-        assert bit_equal(again.values, formula_spectrum(formula_fid(THIRD, fp), fp)[0])
+        assert bit_equal(again.values, first)
+        assert spectrum_close(again.values, formula_spectrum(formula_fid(THIRD, fp), fp)[0])
 
     def test_caches_are_bounded(self):
         for cache in CACHES:
@@ -432,7 +448,7 @@ class TestCaches:
         assert (unmixing.misses, unmixing.currsize) == (3, 0)
 
     @pytest.mark.parametrize("fp", FORMULA_PARAMS, ids=fp_id)
-    def test_bit_identical_to_the_formulas(self, fp):
+    def test_within_bounds_of_the_formulas(self, fp):
         rng = np.random.default_rng(fp.n_samples)
         amps = SpectralAmplitudes(*rng.uniform(-1.0, 1.0, 3))
         fid = synthesize_fid(amps, fp)
@@ -440,15 +456,15 @@ class TestCaches:
         for series in (fid, fid[: fp.n_samples // 3]):
             values, freqs = formula_spectrum(series, fp)
             spec = spectrum(series, fp)
-            assert bit_equal(spec.values, values)
+            assert spectrum_close(spec.values, values)
             assert bit_equal(spec.freqs_mhz, freqs)
             assert spec.fid_length == len(series)
         values, freqs = formula_spectrum(formula_fid(THIRD, fp), fp)
         cal = calibration_spectrum(fp)
-        assert bit_equal(cal.values, values) and bit_equal(cal.freqs_mhz, freqs)
+        assert spectrum_close(cal.values, values) and bit_equal(cal.freqs_mhz, freqs)
 
     @pytest.mark.parametrize("fp", FORMULA_PARAMS, ids=fp_id)
-    def test_extraction_bit_identical_to_the_solve_in_place(self, fp):
+    def test_extraction_matches_the_solve_in_place(self, fp):
         rng = np.random.default_rng(fp.n_samples + 1)
         draws = rng.uniform(-1.0, 1.0, (20, 3))
         draws[0] = -np.abs(draws[0])
@@ -456,7 +472,7 @@ class TestCaches:
         for amps in draws:
             spec = spectrum(synthesize_fid(SpectralAmplitudes(*amps), fp), fp)
             got = extract_amplitudes(spec, fp, cal).as_array()
-            assert bit_equal(got, formula_amplitudes(spec, fp))
+            assert np.abs(got - formula_amplitudes(spec, fp)).max() <= AMPLITUDE_TOL
 
     @pytest.mark.parametrize("fp", FORMULA_PARAMS, ids=fp_id)
     def test_templates_match_the_closed_form_dft(self, fp):
@@ -468,3 +484,35 @@ class TestCaches:
         want_det = (want[0] * cols[0]).sum()
         assert np.abs(adjugate - want).max() <= 1e-13 * np.abs(want).max()
         assert abs(det - want_det) <= 1e-13 * abs(want_det)
+
+
+class TestPrunedTransform:
+    """spectrum against numpy's padded, shifted FFT at every FID length."""
+
+    @pytest.mark.parametrize("n", [257, 3000])
+    @pytest.mark.parametrize("length", [
+        lambda n: 1, lambda n: n // 3, lambda n: n, lambda n: n + 1,
+        lambda n: 2 * n + 7, lambda n: 4 * n,
+    ], ids=["1", "n//3", "n", "n+1", "2n+7", "4n"])
+    def test_lengths_match_the_padded_fft(self, n, length, monkeypatch):
+        fp = FidParams(n_samples=n)
+        rng = np.random.default_rng(n)
+        size = length(n)
+        noise = rng.normal(size=3 * n) + 1j * rng.normal(size=3 * n)
+        fid = np.concatenate([synthesize_fid(THIRD, fp), noise])[:size]
+        want = formula_spectrum(fid, fp)[0]
+        sizes = []
+        fft = np.fft.fft
+
+        def counted(a, *args, axis=-1, **kwargs):
+            sizes.append(np.shape(a)[axis])
+            return fft(a, *args, axis=axis, **kwargs)
+
+        # synthesize_fid filled the basis, so only spectrum's own transform is counted
+        monkeypatch.setattr(np.fft, "fft", counted)
+        spec = spectrum(fid, fp)
+        assert spec.fid_length == size
+        assert spectrum_close(spec.values, want)
+        # no padded transform, for an FID longer than n_samples too: the four
+        # blocks are folded by a 4-point DFT and transformed as n-point rows
+        assert sizes == ([4, n] if size > n else [n])
