@@ -116,12 +116,13 @@ def _cmd_sweep(args) -> int:
         # The tabulated post-seg1 state, so the sweep reproduces the
         # reference figure rather than a model-chained run.
         start, seg = REFERENCE_CYCLE1_OVERRIDES.seg2_start, seg2
-    # The segment's swaps (all but its laser) check the start once; no grid point is checked.
-    state, _ = run_sequence(start, seg(0.0).pulses[:-1], cfg.rates)
+    # The segment's swaps (all but its laser) check the start once; no grid point is
+    # checked, and each runs the laser step on the swapped state's six floats.
+    state = run_sequence(start, seg(0.0).pulses[:-1], cfg.rates)[0].tolist()
     rows = []
-    for t in np.linspace(0.0, args.t_max, args.steps):
-        p = _propagate(state, float(t), cfg.rates)      # p[:3] - p[3:] is amplitudes(p)
-        rows.append([t, *p, *(p[:3] - p[3:]), p[0] + p[1] + p[2]])
+    for t in np.linspace(0.0, args.t_max, args.steps).tolist():
+        p = _propagate(state, t, cfg.rates)     # p[i] - p[i + 3] is amplitudes(p)
+        rows.append([t, *p, *(p[i] - p[i + 3] for i in range(3)), p[0] + p[1] + p[2]])
     path = out / f"sweep_{args.segment}.csv"
     _write_csv(path, ["duration_us", "p0", "p1", "p2", "p3", "p4", "p5",
                       "a_minus1", "a_plus1", "a_zero", "total_ms0"], rows)

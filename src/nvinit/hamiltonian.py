@@ -91,25 +91,25 @@ REFERENCE_TRANSITIONS = (
 
 
 def energy(level: tuple[int, int], params: HamiltonianParams = HamiltonianParams()) -> float:
-    """Energy of |m_s, m_I> in MHz."""
+    """Energy of |m_s, m_I> in MHz; refused when it overflows to an infinity or NaN."""
     if not _is_level(level):
         raise ValueError(f"unknown level {_shown(level)}")
     _check_record("params", params, HamiltonianParams)
     ms, mi = level
-    return (params.d_zfs * ms * ms
-            - params.gamma_e * params.b_field * ms
-            + params.quadrupole * mi * mi
-            - params.gamma_n * params.b_field * mi
-            + params.hyperfine * ms * mi)
+    return _check_number(f"energy of {level}", params.d_zfs * ms * ms
+                         - params.gamma_e * params.b_field * ms
+                         + params.quadrupole * mi * mi
+                         - params.gamma_n * params.b_field * mi
+                         + params.hyperfine * ms * mi)
 
 
 def transition_frequency(a: tuple[int, int], b: tuple[int, int],
                          params: HamiltonianParams = HamiltonianParams()) -> float:
-    """Absolute energy difference |E(a) - E(b)| in MHz."""
+    """Absolute energy difference |E(a) - E(b)| in MHz, refused when it overflows."""
     e_a, e_b = energy(a, params), energy(b, params)     # both levels checked before a == b
     if a == b:
         raise ValueError(f"transition needs two distinct levels, got {_shown(a)} twice")
-    return abs(e_a - e_b)
+    return _check_number(f"transition frequency {a}<->{b}", abs(e_a - e_b))
 
 
 def transition_table(params: HamiltonianParams = HamiltonianParams()):

@@ -15,9 +15,11 @@ one stationary point, spinmodel._stationary_time: the optimum over a
 duration interval is at an end or at that point.  A searched pass scores
 the line search's candidates on its state's four mode coefficients,
 spinmodel._mode_values, and the laser step, spinmodel._propagate, reuses
-the winner's mode weights: both run on six Python floats, and no pass makes
-a numpy projection.  Public functions check their inputs once, and
-identical inputs give bit-identical schedules.
+the winner's mode weights.  The fold carries its state as a list of six
+Python floats from pass to pass, against the objective's weights as a tuple
+of six floats: no pass makes a numpy projection or an array, and each row's
+end state becomes an array only in its CycleResult.  Public functions check
+their inputs once, and identical inputs give bit-identical schedules.
 """
 
 from __future__ import annotations
@@ -54,13 +56,12 @@ BLOCKED = "blocked"
 
 _TIE_TOL = 1e-6      # objective value; ties resolve to the smallest t
 
-#: Weight vector w of each objective w . p.
-_WEIGHTS = {P00: np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
-            A0: np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0])}
+#: Weight vector w of each objective w . p, as six floats.
+_WEIGHTS = {P00: (0.0, 0.0, 1.0, 0.0, 0.0, 0.0), A0: (0.0, 0.0, 1.0, 0.0, 0.0, -1.0)}
 
 
 def _check_rules(objective: str, t_max: float = 10.0, strategy: str = INTERLEAVED,
-                 n_cycles: int = 1, overrides=None) -> np.ndarray:
+                 n_cycles: int = 1, overrides=None) -> tuple:
     """The one check of the schedule rules; returns the objective's weights.
 
     Every public optimizer function and config.OptimizerSettings call it first.
@@ -157,48 +158,47 @@ def optimize_laser(p_post_swaps, rates: RateParams = RateParams(),
     (float, float)
         Optimal duration t_star in us and the objective value there.
     """
-    w, p = _check_rules(objective, t_max), validate_population(p_post_swaps)
+    w, p = _check_rules(objective, t_max), validate_population(p_post_swaps).tolist()
     _check_record("rates", rates, RateParams)
-    t, weights = _line_search(w.tolist(), p, rates, t_max)
-    return t, float(w @ _propagate(p, t, rates, weights))
+    t, weights = _line_search(w, p, rates, t_max)
+    return t, float(np.dot(w, _propagate(p, t, rates, weights)))
 
 
-def _line_search(w: list, p: np.ndarray, rates: RateParams, t_max: float) -> tuple:
-    """optimize_laser's (t, _mode_weights(t) or None at t = 0) for weights w as six
-    floats; scores on spinmodel._mode_values, projects and propagates nothing."""
-    m0, m1, m2, m3 = modes = _mode_values(w, p.tolist())
+def _line_search(w: tuple, p: list, rates: RateParams, t_max: float) -> tuple:
+    """optimize_laser's (t, _mode_weights(t)) for weights w and state p, six floats
+    each; scores on spinmodel._mode_values, projects and propagates nothing."""
+    m0, m1, m2, m3 = modes = _mode_values(w, p)
     t_root = _stationary_time(modes, rates)
-    scored = [(m0 + m1 + m2, 0.0, None)]      # weights (1, 1, 1, 0): propagator(0) is I
-    for t in ([t_root] if t_root is not None and t_root < t_max else []) + [float(t_max)]:
-        a, b, c, d = weights = _mode_weights(t, rates)
-        scored.append((a * m0 + b * m1 + c * m2 + d * m3, t, weights))
+    times = [0.0] + ([t_root] if t_root is not None and t_root < t_max else []) + [float(t_max)]
+    scored = [(a * m0 + b * m1 + c * m2 + d * m3, t, (a, b, c, d))
+              for t in times for a, b, c, d in [_mode_weights(t, rates)]]
     top = max(value for value, _, _ in scored)
     return next((t, weights) for value, t, weights in scored if value >= top - _TIE_TOL)
 
 
-def _fold(state: np.ndarray, passes, rates: RateParams, w: list, t_max: float) -> tuple:
+def _fold(state: list, passes, rates: RateParams, w: tuple, t_max: float) -> tuple:
     """Run laser passes in order; row i pairs the i-th seg1 and seg2 passes.
 
-    A pass is (segment index, pinned duration or None, start state or
-    None), the index 0 for seg1 and 1 for seg2.  A start state replaces
-    the incoming one, the segment's pulses._SWAPS run, and its laser runs
-    once, for the pinned duration or the line search's pick on w (the
-    objective's weights as six floats), through the pulse step of
+    state is a list of six floats.  A pass is (segment index, pinned duration
+    or None, start state or None), the index 0 for seg1 and 1 for seg2.  A
+    start state replaces the incoming one, the segment's pulses._SWAPS run,
+    and its laser runs once, for the pinned duration or the line search's pick
+    on w (the objective's weights), through the pulse step of
     pulses.apply_pulse; the callers checked every input.
     """
     done = ([], [])
     for k, t_pinned, start in passes:
         if start is not None:
-            state = np.asarray(start, dtype=float)
+            state = [float(v) for v in start]
         for pulse in _SWAPS[k]:
             state = _step(state, pulse, rates)
         t, weights = ((t_pinned, None) if t_pinned is not None
                       else _line_search(w, state, rates, t_max))
         state = _propagate(state, t, rates, weights)
-        done[k].append((t, float(state[2]), state))
+        done[k].append((t, state[2], state))
     return tuple(
         CycleResult(cycle=i, t1=t1, purity_after_seg1=purity1,
-                    t2=t2, purity_after_seg2=purity2, end_state=end)
+                    t2=t2, purity_after_seg2=purity2, end_state=np.array(end))
         for i, ((t1, purity1, _), (t2, purity2, end)) in enumerate(zip(*done), 1))
 
 
@@ -242,5 +242,5 @@ def optimize_schedule(p0, rates: RateParams = RateParams(), objective: str = P00
     seconds = [(1, ov1.t2, seg2_start)] + [(1, None, None)] * (n_cycles - 1)
     passes = (firsts + seconds if strategy == BLOCKED
               else [p for cycle in zip(firsts, seconds) for p in cycle])
-    rows = _fold(validate_population(p0), passes, rates, w.tolist(), t_max)
+    rows = _fold(validate_population(p0).tolist(), passes, rates, w, t_max)
     return Schedule(strategy, rows, rows[-1].purity_after_seg2)

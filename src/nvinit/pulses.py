@@ -7,6 +7,10 @@ seg1 polishes the m_I=-1 population into |0,0>, seg2 that of m_I=+1:
 
     seg1 = [MW (0,-1)<->(-1,-1), RF (-1,-1)<->(-1,0), laser t1]
     seg2 = [MW (0,+1)<->(-1,+1), RF (-1,+1)<->(-1,0), laser t2]
+
+One pulse step, _step, runs on a state as a list of six Python floats, as
+spinmodel's laser step does; the public functions make the arrays they return
+(each trace record's state, the final state) from those lists.
 """
 
 from __future__ import annotations
@@ -131,15 +135,15 @@ def seg2(t2: float) -> Segment:
     return Segment("seg2", _SWAPS[1] + (Laser(t2),))
 
 
-def _step(state: np.ndarray, pulse: Pulse, rates: RateParams) -> np.ndarray:
-    """One pulse on an already validated state; it is not checked again."""
+def _step(state: list, pulse: Pulse, rates: RateParams) -> list:
+    """One pulse on an already validated state of six floats; it is not checked again."""
     if isinstance(pulse, Laser):
         return _propagate(state, pulse.duration, rates)
     i, j, f = pulse._resolved
-    values = state.tolist()     # Python floats: the IEEE products numpy makes, at less cost
+    values = list(state)        # a swap never writes to the state it was given
     a, b = values[i], values[j]
     values[i], values[j] = (1.0 - f) * a + f * b, (1.0 - f) * b + f * a
-    return np.array(values)
+    return values
 
 
 def apply_pulse(p, pulse: Pulse, rates: RateParams = RateParams()) -> np.ndarray:
@@ -148,8 +152,9 @@ def apply_pulse(p, pulse: Pulse, rates: RateParams = RateParams()) -> np.ndarray
     Swaps exchange exactly two entries (softened by swap_fidelity); a
     laser pulse propagates the full vector under the rate model.
     """
-    return _step(validate_population(p), _check_record("pulse", pulse, MwPi, RfPi, Laser),
-                 _check_record("rates", rates, RateParams))
+    return np.array(_step(validate_population(p).tolist(),
+                          _check_record("pulse", pulse, MwPi, RfPi, Laser),
+                          _check_record("rates", rates, RateParams)))
 
 
 def run_segment(p, segment: Segment, rates: RateParams = RateParams()):
@@ -159,16 +164,16 @@ def run_segment(p, segment: Segment, rates: RateParams = RateParams()):
     -------
     (numpy.ndarray, list of TraceRecord)
         The final state and one trace record per pulse.  Each record holds
-        its own array, and the final state is a copy: never the input.
+        its own array, and the final state another one, never the input.
     """
-    state = validate_population(p)
+    state = validate_population(p).tolist()
     _check_record("segment", segment, Segment)
     _check_record("rates", rates, RateParams)
     trace = []
     for idx, pulse in enumerate(segment.pulses):
         state = _step(state, pulse, rates)
-        trace.append(TraceRecord(idx, pulse._text, state))     # each step makes a new array
-    return state.copy(), trace
+        trace.append(TraceRecord(idx, pulse._text, np.array(state)))
+    return np.array(state), trace
 
 
 def run_sequence(p, pulses, rates: RateParams = RateParams()):
@@ -190,5 +195,4 @@ def initial_state(rates: RateParams = RateParams(), init_laser: float = 5.0) -> 
     """
     _check_record("rates", rates, RateParams)
     _check_number("init_laser", init_laser, 0, strict=True)
-    mixed = np.full(6, 1.0 / 6.0)
-    return _propagate(mixed, init_laser, rates)
+    return np.array(_propagate([1.0 / 6.0] * 6, init_laser, rates))

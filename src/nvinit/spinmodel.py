@@ -12,9 +12,15 @@ laser exp(M t) is four constant _MODES against four weights of t (see
 propagator); _stationary_time solves where w . exp(M t) p is stationary,
 from the four coefficients w . P_k p that _mode_values forms.  Both
 _mode_values and the laser step, _propagate, apply the modes to a state in
-closed form on six Python floats (the means of the m_s = 0 and m_s = -1
-entries, then one line per result): neither forms a matrix or makes a
-numpy projection, and only propagator reads _MODES.
+closed form (the means of the m_s = 0 and m_s = -1 entries, then one line
+per result): neither forms a matrix or makes a numpy projection, and only
+propagator reads _MODES.
+
+Between the public boundaries a state is a list of six Python floats: the
+private steps (_propagate, _clamp_dust, and pulses._step and the optimizer's
+fold on top of them) take and return such lists and never touch numpy.  A
+public entry point turns its input into one with validate_population(p).tolist(),
+and a public function makes an array only for the state it returns.
 
 _check_number, defined here, is the package's one rule for a public
 scalar input (a rate, a duration, a count, a record field): a finite real
@@ -192,17 +198,19 @@ def validate_population(p) -> np.ndarray:
     return arr
 
 
-def _clamp_dust(values: list) -> np.ndarray:
-    """values as an array, dust down to validate_population's -1e-9 zeroed; below is a bug."""
-    low = min(values)       # a Python min: ndarray.min costs several times more on 6 entries
+def _clamp_dust(values: list) -> list:
+    """values (six floats) with dust down to validate_population's -1e-9 zeroed, as a
+    new list when there is dust; dust below that is a bug, refused in one line."""
+    low = min(values)       # a clean state is returned as it is, with no numpy call
     if low < -_SUM_TOL:
         raise ValueError(f"propagation produced a negative population {low!r}")
-    p = np.array(values)
     if low < 0.0:           # the largest entry pays for the zeroed dust: the sum is kept
-        dust = p < 0.0
-        p[p.argmax()] += p[dust].sum()
-        p[dust] = 0.0
-    return p
+        a, b, c, d, e, f = (min(v, 0.0) for v in values)
+        top, values = values.index(max(values)), [max(v, 0.0) for v in values]
+        # left to right from 0.0, numpy's sum of a few entries bit for bit; the
+        # builtin sum compensates its rounding from Python 3.12 on
+        values[top] += 0.0 + a + b + c + d + e + f
+    return values
 
 
 def rate_matrix(rates: RateParams = RateParams()) -> np.ndarray:
@@ -257,7 +265,13 @@ def propagator(t: float, rates: RateParams = RateParams()) -> np.ndarray:
 
 
 def _mode_weights(t: float, rates: RateParams) -> tuple[float, float, float, float]:
-    """The weights (1, e^{-3k_i t}, e^{-k_s t}, phi) of the four _MODES at t, as floats."""
+    """The weights (1, e^{-3k_i t}, e^{-k_s t}, phi) of the four _MODES at t, as floats.
+
+    Exactly (1, 1, 1, 0) at t = 0, also where a rate times 3 overflows and inf * 0
+    would make them NaN.
+    """
+    if t == 0.0:
+        return 1.0, 1.0, 1.0, 0.0
     ks, ki = rates.k_s, rates.k_i
     e3 = math.exp(-3.0 * ki * t)
     es = math.exp(-ks * t)
@@ -306,17 +320,16 @@ def _mode_values(w, values) -> tuple[float, float, float, float]:
             x * v0 + y * v1 + z * v2 - sv * wu, a * (v0 - sv) + b * (v1 - sv) + c * (v2 - sv))
 
 
-def _propagate(vec: np.ndarray, t: float, rates: RateParams, weights=None) -> np.ndarray:
-    """Unchecked laser step propagator(t) @ vec, clamped, on six Python floats.
+def _propagate(values: list, t: float, rates: RateParams, weights=None) -> list:
+    """Unchecked laser step propagator(t) @ values, clamped, on six Python floats.
 
-    With u = vec[:3], v = vec[3:], (1, e3, es, phi) = weights (_mode_weights(t)
+    With u = values[:3], v = values[3:], (1, e3, es, phi) = weights (_mode_weights(t)
     unless given) and the means s_u, s_v of u and v, the four _MODES give
-    exp(M t) vec = (c + e3 u_i + phi v_i, es v_i) with c = s_u + s_v - e3 s_u -
+    exp(M t) p = (c + e3 u_i + phi v_i, es v_i) with c = s_u + s_v - e3 s_u -
     (es + phi) s_v: about 25 flops, where a numpy projection costs microseconds.
     Sums run left to right, never through the builtin sum, which compensates
     its rounding from Python 3.12 on.
     """
-    values = vec.tolist()
     if t == 0.0:        # propagator(0) is exactly the identity: nothing to round
         return _clamp_dust(values)
     _, e3, es, phi = _mode_weights(t, rates) if weights is None else weights
@@ -334,8 +347,8 @@ def propagate(p, t: float, rates: RateParams = RateParams()) -> np.ndarray:
     Equivalent to propagator(t, rates) @ p with simplex cleanup: dust in
     [-1e-9, 0), the tolerance validate_population accepts, is clamped to zero.
     """
-    return _propagate(validate_population(p), _check_number("duration", t, 0),
-                      _check_record("rates", rates, RateParams))
+    return np.array(_propagate(validate_population(p).tolist(), _check_number("duration", t, 0),
+                               _check_record("rates", rates, RateParams)))
 
 
 def propagate_numeric(p, t: float, rates: RateParams = RateParams(),
@@ -346,7 +359,9 @@ def propagate_numeric(p, t: float, rates: RateParams = RateParams(),
     propagator; no production path calls it.  The interval is split into
     ceil(t/step) uniform steps of width h.  For this linear system one
     RK4 step is the matrix I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24,
-    built once and applied step after step.
+    built once and applied step after step.  It is stable only while h times
+    the fastest decay rate, max(k_s, 3 k_i), is at most 2.785 (M's eigenvalues
+    are 0, -3k_i and -k_s), so a longer step is refused, at t > 0.
 
     Parameters
     ----------
@@ -367,15 +382,19 @@ def propagate_numeric(p, t: float, rates: RateParams = RateParams(),
                          f"(at most 1e7 steps), got {step}")
     vec = validate_population(p)
     if t == 0.0:        # the identity, under the same dust rule as propagate
-        return _clamp_dust(vec.tolist())
+        return np.array(_clamp_dust(vec.tolist()))
     n = int(np.ceil(t / step))
+    # RK4 is stable on the negative real axis down to h * rate = -2.7853, the real
+    # root of z^3 + 4 z^2 + 12 z + 24, where its step polynomial reaches 1 again.
+    if (t / n) * max(rates.k_s, 3.0 * rates.k_i) > 2.785:
+        raise ValueError(f"step {t / n:g} is beyond RK4's stability bound for these rates "
+                         "(step * max(k_s, 3 k_i) must be at most 2.785)")
     hm = (t / n) * rate_matrix(rates)
     hm2 = hm @ hm
     s = np.eye(6) + hm + hm2 / 2.0 + hm2 @ hm / 6.0 + hm2 @ hm2 / 24.0
-    y = vec
     for _ in range(n):
-        y = s @ y
-    return _clamp_dust(y.tolist())
+        vec = s @ vec
+    return np.array(_clamp_dust(vec.tolist()))
 
 
 def steady_state(rates: RateParams = RateParams()) -> np.ndarray:

@@ -124,3 +124,18 @@ def test_table_linear_in_params():
         params = HamiltonianParams(b_field=float(rng.uniform(0.0, 10.0)))
         for ref, computed, deviation in transition_table(params):
             assert deviation == computed - ref.reference_freq
+
+
+def test_overflowing_energies_and_frequencies_are_refused():
+    # gamma_e B overflows at 1e308 mT: inf * 0 gave NaN energies, frequencies and
+    # deviations; every level and line must be finite, or refused in one line.
+    with pytest.raises(ValueError, match=r"^energy of \(0, -1\) must be finite, got nan$"):
+        transition_table(HamiltonianParams(b_field=1e308))
+    with pytest.raises(ValueError, match=r"^energy of \(-1, 0\) must be finite, got inf$"):
+        energy((-1, 0), HamiltonianParams(d_zfs=1.7e308, gamma_e=1.7e308, b_field=1.0))
+    # two finite energies of opposite sign whose difference overflows
+    params = HamiltonianParams(gamma_n=-1.7e308, b_field=1.0)
+    assert energy((0, -1), params) == -energy((0, +1), params) + 2 * params.quadrupole
+    with pytest.raises(ValueError, match=r"^transition frequency \(0, -1\)<->\(0, 1\) "
+                                         r"must be finite, got inf$"):
+        transition_frequency((0, -1), (0, +1), params)

@@ -4,9 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
+from nvinit.optimizer import optimize_schedule
 from nvinit.pulses import (MW_PAIRS, RF_PAIRS, Laser, MwPi, RfPi, apply_pulse,
                            initial_state, run_segment, run_sequence, seg1, seg2)
-from nvinit.spinmodel import RateParams, steady_state
+from nvinit.spinmodel import RateParams, propagate, propagate_numeric, steady_state
 
 UNIFORM_MS0 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) / 3.0
 MIRROR = [1, 0, 2, 4, 3, 5]
@@ -88,12 +89,25 @@ def test_trace_text_follows_replace_and_stays_out_of_the_fields():
 
 def test_trace_records_and_final_state_are_distinct_arrays():
     # The zero-length laser and the zero-fidelity swap leave the values as they are.
+    # Every public state return is a fresh, writeable float64 array of shape (6,),
+    # made at the boundary from the core's six floats: the trace records and the
+    # final state, propagate (at t = 0 too), propagate_numeric at t = 0, apply_pulse,
+    # initial_state and each end state of a schedule.
     pulses = [MwPi(MW_PAIRS[0]), Laser(0.0), RfPi(RF_PAIRS[0], 0.0), Laser(0.5)]
     p = np.array([0.2, 0.2, 0.2, 0.2, 0.1, 0.1])
     final, trace = run_sequence(p, pulses)
-    arrays = [p, final] + [record.state for record in trace]
+    schedule = optimize_schedule(p, n_cycles=3)
+    returns = [final, *(record.state for record in trace), propagate(p, 0.0), propagate(p, 0.5),
+               propagate_numeric(p, 0.0), apply_pulse(p, MwPi(MW_PAIRS[1], 0.0)),
+               apply_pulse(p, Laser(0.0)), apply_pulse(p, Laser(0.5)), initial_state(),
+               *(row.end_state for row in schedule.cycles)]
+    for state in returns:
+        assert type(state) is np.ndarray and state.dtype == np.float64 and state.shape == (6,)
+        assert state.flags.writeable and state.flags.owndata
+    arrays = [p] + returns
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
     assert np.array_equal(final, trace[-1].state)
+    assert schedule.end_state is schedule.cycles[-1].end_state
 
 
 @pytest.mark.parametrize("pulses", [(), (Laser(0.0),), seg1(0.5).pulses],

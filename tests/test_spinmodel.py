@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nvinit.spinmodel import (_MODES, NUCLEAR_MIRROR, RateParams, _mode_values, _mode_weights,
-                              _stationary_time, propagate, propagate_numeric, propagator,
+from nvinit.spinmodel import (_MODES, NUCLEAR_MIRROR, RateParams, _clamp_dust, _mode_values,
+                              _mode_weights, _stationary_time, propagate, propagate_numeric,
+                              propagator,
                               rate_matrix, seg1_reference_solution, seg2_reference_solution,
                               steady_state, validate_population)
 
@@ -243,6 +244,14 @@ class TestModes:
         for rates in self.rates():
             assert np.array_equal(propagator(0.0, rates), np.eye(6))
 
+    @pytest.mark.parametrize("rates", [RateParams(k_s=1e308, k_i=1e308),
+                                       RateParams(k_s=1.0, k_i=1e308), RateParams(k_s=1e308)])
+    def test_zero_duration_survives_overflowing_rates(self, rates):
+        # 3 k_i (or k_s t) overflows to inf, and inf * 0 would make every weight NaN.
+        assert _mode_weights(0.0, rates) == (1.0, 1.0, 1.0, 0.0)
+        assert np.array_equal(propagator(0.0, rates), np.eye(6))
+        assert np.isfinite(propagator(1.0, rates)).all()
+
     @pytest.mark.parametrize("rates", EDGES, ids=["default", "3ki=ks", "ki=0"])
     def test_zero_length_laser_returns_the_state(self, rates):
         # no product is formed at t = 0, so nothing is rounded
@@ -359,6 +368,24 @@ def dust_clamped(q):
     return q
 
 
+def test_float_clamp_matches_the_numpy_rule_bit_for_bit():
+    # One to five dust entries in [-1e-9, 0), ties among them and the largest
+    # entry included: a left-to-right sum from 0.0 is numpy's sum of the dust.
+    # Entries of the dust's own size make the order of that sum show.
+    rng = np.random.default_rng(31)
+    for c in range(5000):
+        q = rng.random(6) * (1e-9 if c % 2 else 1.0)
+        dust = rng.choice(6, rng.integers(1, 6), replace=False)
+        q[dust] = -1e-9 * rng.random(dust.size) ** rng.choice([1, 8])
+        if c % 5 == 0:
+            q[rng.integers(0, 6)] = q[rng.integers(0, 6)]
+        if q.max() <= 0.0:
+            continue
+        got = _clamp_dust(q.tolist())
+        assert type(got) is list and all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == dust_clamped(q).tobytes()
+
+
 class TestFloatLaserStep:
     """propagate is the closed form of the four modes on six Python floats."""
 
@@ -448,6 +475,28 @@ class TestPropagateNumeric:
             with pytest.raises(ValueError, match="must be finite") as exc:
                 propagate_numeric(SEG1_START, t)
             assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("rates", [
+        RateParams(k_s=1e4, k_i=0.2), RateParams(k_s=3000.0, k_i=0.2),
+        RateParams(k_s=1.0, k_i=1000.0), RateParams(k_i=1e308)])
+    def test_refuses_a_step_beyond_the_stability_bound(self, rates):
+        # h * max(k_s, 3 k_i) > 2.785 grew the m_s = -1 modes step after step: NaN
+        # at k_s = 1e4, a negative population of -3e129 at k_s = 3000.
+        with pytest.raises(ValueError, match=r"^step 0\.001 is beyond RK4's stability bound "
+                           r"for these rates \(step \* max\(k_s, 3 k_i\) must be at most "
+                           r"2\.785\)$"):
+            propagate_numeric(SEG1_START, 1.0, rates)
+        assert np.array_equal(propagate_numeric(SEG1_START, 0.0, rates), SEG1_START)
+
+    def test_a_stiff_step_inside_the_bound_is_accepted(self):
+        # h k_s = 2.5 at the default step: stable, and both forms reach the steady state.
+        rates = RateParams(k_s=2500.0, k_i=0.2)
+        assert np.abs(propagate_numeric(SEG1_START, 1.0, rates)
+                      - propagate(SEG1_START, 1.0, rates)).max() < 1e-12
+        at_the_bound = propagate_numeric(SEG1_START, 1.0, RateParams(k_s=2785.0, k_i=0.2))
+        assert at_the_bound.min() >= 0.0 and abs(at_the_bound.sum() - 1.0) < 1e-12
+        with pytest.raises(ValueError, match="stability bound"):
+            propagate_numeric(SEG1_START, 1.0, RateParams(k_s=2786.0, k_i=0.2))
 
     def test_degenerate_rates_regular(self):
         ki = 0.2
