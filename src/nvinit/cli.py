@@ -14,8 +14,11 @@ accepted so batch drivers can pass it uniformly.  Every command is
 deterministic given its inputs.  Its two writers, _write_csv and
 _emit_yaml, write every number by one rule (_fmt): 9 significant digits,
 and any magnitude below 1e-15 as 0, the rounding residue of order-1
-numbers.  Errors produce a single-line diagnostic on stderr and a
-nonzero exit status.
+numbers.  The writers also own the output directory: each makes its
+file's directory when it writes, and every command writes its files
+before it prints.  Errors produce a single-line diagnostic on stderr and
+a nonzero exit status; a command refused before it writes creates no
+file and no directory.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _read, load_config, parse_sequence
+from .config import _FID_KEYS, _read, load_config, parse_sequence
 from .hamiltonian import transition_table
 from .optimizer import REFERENCE_CYCLE1_OVERRIDES, optimize_schedule
 from .pulses import initial_state, run_sequence, seg1, seg2
@@ -52,8 +55,10 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows, labels=None) -> None:
-    """Rows of numbers, each after its text cells from labels when those are given."""
+    """Rows of numbers, each after its text cells from labels when those are given,
+    to path; its directory is made first when it is missing."""
     cells = (map(_fmt, row) for row in rows)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -74,21 +79,21 @@ def _plain(node):
 
 
 def _emit_yaml(doc: dict, path: Path | None = None) -> None:
-    """Write a document to stdout, and first to path when one is given."""
+    """Write a document to stdout, and first to path when one is given (making
+    its directory when it is missing)."""
     import yaml     # only the commands that write YAML pay for the parser
     text = yaml.safe_dump(_plain(doc), sort_keys=False)
     if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     sys.stdout.write(text)
 
 
-def _setup(args, need_out: bool = True):
+def _setup(args):
+    """The command's config and its output directory, --out or the config's; the
+    directory is made by the writers, so a refused command creates nothing."""
     cfg = load_config(getattr(args, "config", None))
-    if not need_out:
-        return cfg, None
-    out = Path(getattr(args, "out", None) or cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, out
+    return cfg, Path(getattr(args, "out", None) or cfg.output_dir)
 
 
 def _pair_text(pair) -> str:
@@ -160,14 +165,8 @@ def _cmd_spectrum(args) -> int:
         "fid_csv": str(fid_path),
         "spectrum_csv": str(spec_path),
         "state": state,
-        "fid_params": {
-            "detuning_mhz": fp.detuning,
-            "hyperfine_split_mhz": fp.hyperfine_split,
-            "t2star_us": fp.t2star,
-            "dt_us": fp.dt,
-            "n_samples": fp.n_samples,
-            "padded_length": fp.padded_length,
-        },
+        "fid_params": {**{key: getattr(fp, name) for key, (name, _) in _FID_KEYS.items()},
+                       "padded_length": fp.padded_length},
         "fft_convention": "unnormalized forward sum, zero-padded, zero frequency centered",
         "line_frequencies_mhz": {
             "mi_minus1": fp.line_frequency(-1),
@@ -203,7 +202,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg, _ = _setup(args, need_out=False)
+    cfg, _ = _setup(args)
     start, pulses = parse_sequence(_read(args.sequence, "sequence"))
     state = start if start is not None else initial_state(cfg.rates)
     final, trace = run_sequence(state, pulses, cfg.rates)

@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hamiltonian import HamiltonianParams
-from .optimizer import (INTERLEAVED, P00, REFERENCE_CYCLE1_OVERRIDES, CycleOverrides,
+from .optimizer import (INTERLEAVED, P00, REFERENCE_CYCLE1_OVERRIDES, _T_MAX, CycleOverrides,
                         _check_rules)
 from .pulses import Laser, MwPi, RfPi
 from .spinmodel import RateParams, _check_number, validate_population
@@ -74,7 +74,7 @@ class ConfigError(ValueError):
 class OptimizerSettings:
     """Schedule-level knobs for the optimize command."""
 
-    t_max: float = 10.0
+    t_max: float = _T_MAX
     objective: str = P00
     n_cycles: int = 3
     strategy: str = INTERLEAVED

@@ -55,12 +55,13 @@ INTERLEAVED = "interleaved"
 BLOCKED = "blocked"
 
 _TIE_TOL = 1e-6      # objective value; ties resolve to the smallest t
+_T_MAX = 10.0        # us; the default search interval is [0, _T_MAX]
 
 #: Weight vector w of each objective w . p, as six floats.
 _WEIGHTS = {P00: (0.0, 0.0, 1.0, 0.0, 0.0, 0.0), A0: (0.0, 0.0, 1.0, 0.0, 0.0, -1.0)}
 
 
-def _check_rules(objective: str, t_max: float = 10.0, strategy: str = INTERLEAVED,
+def _check_rules(objective: str, t_max: float = _T_MAX, strategy: str = INTERLEAVED,
                  n_cycles: int = 1, overrides=None) -> tuple:
     """The one check of the schedule rules; returns the objective's weights.
 
@@ -143,7 +144,7 @@ class Schedule:
 
 
 def optimize_laser(p_post_swaps, rates: RateParams = RateParams(),
-                   objective: str = P00, t_max: float = 10.0):
+                   objective: str = P00, t_max: float = _T_MAX):
     """Best laser duration for a state that already had its swaps applied.
 
     Along the pulse the objective is a constant plus three exponential
@@ -207,9 +208,10 @@ def run_cycle(p, rates: RateParams = RateParams(), objective: str = P00,
     """One [seg1 + seg2] cycle with per-segment duration choice.
 
     The one cycle of an interleaved optimize_schedule, numbered cycle:
-    applies the seg1 swaps, picks t1 (override or optimizer on [0, 10] us)
-    and runs the laser; then the same for seg2.  overrides is that schedule's
-    cycle1_overrides, None or a CycleOverrides (which may pin seg2's start).
+    applies the seg1 swaps, picks t1 (override, or optimizer on [0, _T_MAX],
+    the default 10 us) and runs the laser; then the same for seg2.  overrides
+    is that schedule's cycle1_overrides, None or a CycleOverrides (which may
+    pin seg2's start).
     """
     _check_number("cycle", cycle, 1, integer=True)
     schedule = optimize_schedule(p, rates, objective, 1, INTERLEAVED, overrides)
@@ -218,7 +220,7 @@ def run_cycle(p, rates: RateParams = RateParams(), objective: str = P00,
 
 def optimize_schedule(p0, rates: RateParams = RateParams(), objective: str = P00,
                       n_cycles: int = 3, strategy: str = INTERLEAVED,
-                      cycle1_overrides=None, t_max: float = 10.0) -> Schedule:
+                      cycle1_overrides=None, t_max: float = _T_MAX) -> Schedule:
     """Optimize a full N-cycle schedule.
 
     interleaved runs N [seg1, seg2] cycles, blocked N seg1 passes then N

@@ -199,10 +199,16 @@ def validate_population(p) -> np.ndarray:
 
 
 def _clamp_dust(values: list) -> list:
-    """values (six floats) with dust down to validate_population's -1e-9 zeroed, as a
-    new list when there is dust; dust below that is a bug, refused in one line."""
+    """values (six floats) with negative dust zeroed, as a new list when there is dust.
+
+    A laser step multiplies by exp(M t), whose entries lie in [0, 1], so no result
+    entry falls below the sum of the input's negative entries, which validate_population
+    keeps at -4e-9 or above (each >= -1e-9, the largest <= 1 + 1e-9 and the sum
+    within 1e-9 of 1).  Dust below -5e-9, that bound with a margin for rounding,
+    is a bug, refused in one line.
+    """
     low = min(values)       # a clean state is returned as it is, with no numpy call
-    if low < -_SUM_TOL:
+    if low < -5 * _SUM_TOL:
         raise ValueError(f"propagation produced a negative population {low!r}")
     if low < 0.0:           # the largest entry pays for the zeroed dust: the sum is kept
         a, b, c, d, e, f = (min(v, 0.0) for v in values)
@@ -344,8 +350,10 @@ def _propagate(values: list, t: float, rates: RateParams, weights=None) -> list:
 def propagate(p, t: float, rates: RateParams = RateParams()) -> np.ndarray:
     """Evolve a population vector for time t under laser illumination.
 
-    Equivalent to propagator(t, rates) @ p with simplex cleanup: dust in
-    [-1e-9, 0), the tolerance validate_population accepts, is clamped to zero.
+    Equivalent to propagator(t, rates) @ p with simplex cleanup: negative
+    dust is clamped to zero and taken from the largest entry.  From a vector
+    that validate_population accepts the dust stays at -4e-9 or above, up to
+    rounding; dust below -5e-9 is refused as a bug.
     """
     return np.array(_propagate(validate_population(p).tolist(), _check_number("duration", t, 0),
                                _check_record("rates", rates, RateParams)))

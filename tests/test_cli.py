@@ -413,6 +413,51 @@ class TestGlobalFlags:
         assert err.count("\n") == 1
 
 
+class TestOutputDirectory:
+    """The two writers make --out when they write, so a refused command makes nothing."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "seg1", "--steps", "1"], "--steps must be at least 2"),
+        (["sweep", "seg1", "--t-max", "nan"], "--t-max must be finite"),
+        (["spectrum", "--state", "1,2"], "six comma-separated numbers"),
+        # Refused at extraction, after the FID and its spectrum were computed.
+        (["spectrum", "--config", "split0.yaml"], "two lines share a spectral bin"),
+    ], ids=["sweep-steps", "sweep-t-max", "spectrum-state", "spectrum-extraction"])
+    def test_a_refused_command_creates_nothing(self, argv, message, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "split0.yaml").write_text("fid: {hyperfine_split_mhz: 0}\n")
+        assert main(argv + ["--out", "out"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_nested_out_is_made(self, tmp_path, capsys):
+        dest = tmp_path / "a" / "b" / "c"
+        assert main(["optimize", "--out", str(dest)]) == 0
+        capsys.readouterr()
+        assert sorted(path.name for path in dest.iterdir()) == ["schedule.csv",
+                                                                 "schedule.yaml"]
+
+    def test_the_yaml_writer_makes_its_directory(self, tmp_path, capsys):
+        cli._emit_yaml({"value": 0.5}, tmp_path / "a" / "b" / "doc.yaml")
+        assert (tmp_path / "a" / "b" / "doc.yaml").read_text() == "value: 0.5\n"
+        assert capsys.readouterr().out == "value: 0.5\n"
+
+    @pytest.mark.parametrize("command", [["transitions"], ["sweep", "seg1"], ["spectrum"],
+                                         ["optimize"]])
+    def test_an_out_that_is_a_file_is_one_error_line(self, command, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(command + ["--out", str(blocker)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert blocker.read_text() == ""
+
+
 MW_SWAP_SEQUENCE = """\
 pulses:
   - {kind: mw_pi, pair: [[0, -1], [-1, -1]], fidelity: 0.95}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nvinit.pulses import Laser, apply_pulse, run_sequence
 from nvinit.spinmodel import (_MODES, NUCLEAR_MIRROR, RateParams, _clamp_dust, _mode_values,
                               _mode_weights, _stationary_time, propagate, propagate_numeric,
                               propagator,
@@ -425,6 +426,33 @@ class TestFloatLaserStep:
             assert np.array_equal(propagate(p[mirror], t, rates)[mirror], q)
         assert worst <= 1e-15
         assert worst_sum <= 1e-15
+
+
+class TestDustFromAcceptedInput:
+    """A laser step on a state that validate_population accepts is never refused."""
+
+    # |-1,0>'s dust is pumped onto the dust already at |0,0>; with k_i = 0 no hop
+    # refills that entry, so it lands near -2e-9, below the -1e-9 of one entry.
+    STATE = [0.5 + 2e-9, 0.5, -1e-9, 0.0, 0.0, -1e-9]
+
+    @pytest.mark.parametrize("step", [
+        lambda p, rates: propagate(p, 1.0, rates),
+        lambda p, rates: apply_pulse(p, Laser(1.0), rates),
+        lambda p, rates: run_sequence(p, [Laser(1.0)], rates)[0],
+    ], ids=["propagate", "apply_pulse", "run_sequence"])
+    def test_pumped_dust_is_clamped(self, step):
+        rates = RateParams(k_i=0.0)
+        q = step(self.STATE, rates)
+        assert q.tolist() == [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]
+        assert np.array_equal(q, dust_clamped(propagator(1.0, rates) @ self.STATE))
+
+    def test_the_refusal_bound_is_what_a_step_can_reach(self):
+        # Accepted input keeps the sum of its negative entries at -4e-9 or above,
+        # and the bound leaves a margin for rounding on top.
+        q = [0.5 + 5e-9, 0.5, 0.0, 0.0, 0.0, -5e-9]
+        assert _clamp_dust(q) == dust_clamped(np.array(q)).tolist()
+        with pytest.raises(ValueError, match="negative population -5.1e-09"):
+            _clamp_dust([0.5 + 5.1e-9, 0.5, 0.0, 0.0, 0.0, -5.1e-9])
 
 
 class TestModeValues:
