@@ -11,14 +11,21 @@ Five subcommands cover the data products of the initialization study:
 Global flags --config/--out/--seed may appear before or after the
 subcommand.  --seed is reserved: the model is deterministic, the flag is
 accepted so batch drivers can pass it uniformly.  Every command is
-deterministic given its inputs.  Its two writers, _write_csv and
-_emit_yaml, write every number by one rule (_fmt): 9 significant digits,
-and any magnitude below 1e-15 as 0, the rounding residue of order-1
-numbers.  The writers also own the output directory: each makes its
-file's directory when it writes, and every command writes its files
-before it prints.  Errors produce a single-line diagnostic on stderr and
-a nonzero exit status; a command refused before it writes creates no
-file and no directory.
+deterministic given its inputs.
+
+main owns what the commands share: it loads the config once, resolves the
+output directory (--out, else the config's output_dir) and sets the exit
+status.  Each command, _cmd_*(args, cfg, out), only computes and writes.
+Errors produce a single-line diagnostic on stderr and exit status 1; a
+config error comes before any argument error of the command.
+
+The two writers, _write_csv and _emit_yaml, write every number by one rule
+(_fmt): 9 significant digits, and any magnitude below 1e-15 as 0, the
+rounding residue of order-1 numbers.  They also own the output directory:
+each makes its file's directory through _make_dir when it writes, which
+refuses a path that is not a directory in one line.  Every command writes
+its files before it prints, so a command refused before it writes creates
+no file and no directory.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import numpy as np
 from .config import _FID_KEYS, _read, load_config, parse_sequence
 from .hamiltonian import transition_table
 from .optimizer import REFERENCE_CYCLE1_OVERRIDES, optimize_schedule
-from .pulses import initial_state, run_sequence, seg1, seg2
+from .pulses import _SWAPS, initial_state, run_sequence
 from .spinmodel import _check_number, _propagate, validate_population
 from .tomography import (amplitudes, calibration_spectrum, extract_amplitudes,
                          spectrum, synthesize_fid)
@@ -54,11 +61,19 @@ def _fmt(value) -> str:
     return "0" if -1e-15 < value < 1e-15 else f"{value:.9g}"     # NaN fails both tests
 
 
+def _make_dir(path: Path) -> None:
+    """Make the directory of path when it is missing; refuse one that is not a directory."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValueError(f"output directory '{path.parent}' is not a directory") from None
+
+
 def _write_csv(path: Path, header, rows, labels=None) -> None:
     """Rows of numbers, each after its text cells from labels when those are given,
     to path; its directory is made first when it is missing."""
     cells = (map(_fmt, row) for row in rows)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(path)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -84,46 +99,36 @@ def _emit_yaml(doc: dict, path: Path | None = None) -> None:
     import yaml     # only the commands that write YAML pay for the parser
     text = yaml.safe_dump(_plain(doc), sort_keys=False)
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        _make_dir(path)
         path.write_text(text, encoding="utf-8")
     sys.stdout.write(text)
-
-
-def _setup(args):
-    """The command's config and its output directory, --out or the config's; the
-    directory is made by the writers, so a refused command creates nothing."""
-    cfg = load_config(getattr(args, "config", None))
-    return cfg, Path(getattr(args, "out", None) or cfg.output_dir)
 
 
 def _pair_text(pair) -> str:
     return "<->".join(f"({m_s},{m_i})" for m_s, m_i in pair)
 
 
-def _cmd_transitions(args) -> int:
-    cfg, out = _setup(args)
+def _cmd_transitions(args, cfg, out: Path) -> None:
     table = transition_table(cfg.hamiltonian)
     path = out / "transitions.csv"
     _write_csv(path, ["pair", "kind", "computed_mhz", "reference_mhz", "deviation_mhz"],
                ([computed, ref.reference_freq, deviation] for ref, computed, deviation in table),
                [(_pair_text(ref.pair), ref.kind) for ref, _, _ in table])
     print(f"wrote {path}")
-    return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg, out = _setup(args)
+def _cmd_sweep(args, cfg, out: Path) -> None:
     _check_number("--steps", args.steps, 2, integer=True)
     _check_number("--t-max", args.t_max, 0, strict=True)
     if args.segment == "seg1":
-        start, seg = initial_state(cfg.rates), seg1
+        start, swaps = initial_state(cfg.rates), _SWAPS[0]
     else:
         # The tabulated post-seg1 state, so the sweep reproduces the
         # reference figure rather than a model-chained run.
-        start, seg = REFERENCE_CYCLE1_OVERRIDES.seg2_start, seg2
-    # The segment's swaps (all but its laser) check the start once; no grid point is
-    # checked, and each runs the laser step on the swapped state's six floats.
-    state = run_sequence(start, seg(0.0).pulses[:-1], cfg.rates)[0].tolist()
+        start, swaps = REFERENCE_CYCLE1_OVERRIDES.seg2_start, _SWAPS[1]
+    # The segment's swaps check the start once; no grid point is checked, and
+    # each runs the laser step on the swapped state's six floats.
+    state = run_sequence(start, swaps, cfg.rates)[0].tolist()
     rows = []
     for t in np.linspace(0.0, args.t_max, args.steps).tolist():
         p = _propagate(state, t, cfg.rates)     # p[i] - p[i + 3] is amplitudes(p)
@@ -132,7 +137,6 @@ def _cmd_sweep(args) -> int:
     _write_csv(path, ["duration_us", "p0", "p1", "p2", "p3", "p4", "p5",
                       "a_minus1", "a_plus1", "a_zero", "total_ms0"], rows)
     print(f"wrote {path}")
-    return 0
 
 
 def _parse_state_arg(text: str) -> np.ndarray:
@@ -145,8 +149,7 @@ def _parse_state_arg(text: str) -> np.ndarray:
     return validate_population(values)
 
 
-def _cmd_spectrum(args) -> int:
-    cfg, out = _setup(args)
+def _cmd_spectrum(args, cfg, out: Path) -> None:
     state = (_parse_state_arg(args.state) if args.state is not None
              else initial_state(cfg.rates))
     fp = cfg.fid
@@ -176,11 +179,9 @@ def _cmd_spectrum(args) -> int:
         "model_amplitudes": model,
         "extracted_amplitudes": extracted,
     })
-    return 0
 
 
-def _cmd_optimize(args) -> int:
-    cfg, out = _setup(args)
+def _cmd_optimize(args, cfg, out: Path) -> None:
     settings = cfg.optimizer
     schedule = optimize_schedule(initial_state(cfg.rates), cfg.rates,
                                  settings.objective, settings.n_cycles,
@@ -198,11 +199,9 @@ def _cmd_optimize(args) -> int:
         "end_state": schedule.end_state,
         "cycles": rows,
     }, out / "schedule.yaml")
-    return 0
 
 
-def _cmd_simulate(args) -> int:
-    cfg, _ = _setup(args)
+def _cmd_simulate(args, cfg, out: Path) -> None:
     start, pulses = parse_sequence(_read(args.sequence, "sequence"))
     state = start if start is not None else initial_state(cfg.rates)
     final, trace = run_sequence(state, pulses, cfg.rates)
@@ -212,7 +211,6 @@ def _cmd_simulate(args) -> int:
                    "state": record.state} for record in trace],
         "final_state": final,
     })
-    return 0
 
 
 def _build_parser() -> _Parser:
@@ -259,11 +257,13 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_config(getattr(args, "config", None))
+        args.func(args, cfg, Path(getattr(args, "out", None) or cfg.output_dir))
     except (ValueError, OSError) as exc:
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"error: {message}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

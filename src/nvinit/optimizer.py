@@ -14,8 +14,8 @@ laser pulse each is a constant plus three exponential modes with at most
 one stationary point, spinmodel._stationary_time: the optimum over a
 duration interval is at an end or at that point.  A searched pass scores
 the line search's candidates on its state's four mode coefficients,
-spinmodel._mode_values, and the laser step, spinmodel._propagate, reuses
-the winner's mode weights.  The fold carries its state as a list of six
+spinmodel._mode_values, and runs the laser step, spinmodel._propagate, once
+for the winner's duration.  The fold carries its state as a list of six
 Python floats from pass to pass, against the objective's weights as a tuple
 of six floats: no pass makes a numpy projection or an array, and each row's
 end state becomes an array only in its CycleResult.  Public functions check
@@ -161,20 +161,20 @@ def optimize_laser(p_post_swaps, rates: RateParams = RateParams(),
     """
     w, p = _check_rules(objective, t_max), validate_population(p_post_swaps).tolist()
     _check_record("rates", rates, RateParams)
-    t, weights = _line_search(w, p, rates, t_max)
-    return t, float(np.dot(w, _propagate(p, t, rates, weights)))
+    t = _line_search(w, p, rates, t_max)
+    return t, float(np.dot(w, _propagate(p, t, rates)))
 
 
-def _line_search(w: tuple, p: list, rates: RateParams, t_max: float) -> tuple:
-    """optimize_laser's (t, _mode_weights(t)) for weights w and state p, six floats
-    each; scores on spinmodel._mode_values, projects and propagates nothing."""
+def _line_search(w: tuple, p: list, rates: RateParams, t_max: float) -> float:
+    """optimize_laser's duration t for weights w and state p, six floats each;
+    scores on spinmodel._mode_values, projects and propagates nothing."""
     m0, m1, m2, m3 = modes = _mode_values(w, p)
     t_root = _stationary_time(modes, rates)
     times = [0.0] + ([t_root] if t_root is not None and t_root < t_max else []) + [float(t_max)]
-    scored = [(a * m0 + b * m1 + c * m2 + d * m3, t, (a, b, c, d))
+    scored = [(a * m0 + b * m1 + c * m2 + d * m3, t)
               for t in times for a, b, c, d in [_mode_weights(t, rates)]]
-    top = max(value for value, _, _ in scored)
-    return next((t, weights) for value, t, weights in scored if value >= top - _TIE_TOL)
+    top = max(value for value, _ in scored)
+    return next(t for value, t in scored if value >= top - _TIE_TOL)
 
 
 def _fold(state: list, passes, rates: RateParams, w: tuple, t_max: float) -> tuple:
@@ -193,9 +193,8 @@ def _fold(state: list, passes, rates: RateParams, w: tuple, t_max: float) -> tup
             state = [float(v) for v in start]
         for pulse in _SWAPS[k]:
             state = _step(state, pulse, rates)
-        t, weights = ((t_pinned, None) if t_pinned is not None
-                      else _line_search(w, state, rates, t_max))
-        state = _propagate(state, t, rates, weights)
+        t = t_pinned if t_pinned is not None else _line_search(w, state, rates, t_max)
+        state = _propagate(state, t, rates)
         done[k].append((t, state[2], state))
     return tuple(
         CycleResult(cycle=i, t1=t1, purity_after_seg1=purity1,

@@ -326,19 +326,19 @@ def _mode_values(w, values) -> tuple[float, float, float, float]:
             x * v0 + y * v1 + z * v2 - sv * wu, a * (v0 - sv) + b * (v1 - sv) + c * (v2 - sv))
 
 
-def _propagate(values: list, t: float, rates: RateParams, weights=None) -> list:
+def _propagate(values: list, t: float, rates: RateParams) -> list:
     """Unchecked laser step propagator(t) @ values, clamped, on six Python floats.
 
-    With u = values[:3], v = values[3:], (1, e3, es, phi) = weights (_mode_weights(t)
-    unless given) and the means s_u, s_v of u and v, the four _MODES give
-    exp(M t) p = (c + e3 u_i + phi v_i, es v_i) with c = s_u + s_v - e3 s_u -
-    (es + phi) s_v: about 25 flops, where a numpy projection costs microseconds.
+    With u = values[:3], v = values[3:], (1, e3, es, phi) = _mode_weights(t) and the
+    means s_u, s_v of u and v, the four _MODES give exp(M t) p = (c + e3 u_i +
+    phi v_i, es v_i) with c = s_u + s_v - e3 s_u - (es + phi) s_v: about 25
+    flops, where a numpy projection costs microseconds.
     Sums run left to right, never through the builtin sum, which compensates
     its rounding from Python 3.12 on.
     """
     if t == 0.0:        # propagator(0) is exactly the identity: nothing to round
         return _clamp_dust(values)
-    _, e3, es, phi = _mode_weights(t, rates) if weights is None else weights
+    _, e3, es, phi = _mode_weights(t, rates)
     u0, u1, u2, v0, v1, v2 = values
     su = (u0 + u1 + u2) / 3.0
     sv = (v0 + v1 + v2) / 3.0

@@ -412,6 +412,24 @@ class TestGlobalFlags:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["transitions", "--out", "blocker"],
+        ["sweep", "seg1", "--steps", "1", "--out", "out"],
+        ["spectrum", "--state", "1,2", "--out", "out"],
+        ["optimize", "--out", "blocker"],
+        ["simulate", "missing.yaml", "--out", "out"],
+    ], ids=["transitions", "sweep", "spectrum", "optimize", "simulate"])
+    def test_a_config_error_comes_before_the_commands_own(self, argv, tmp_path, monkeypatch,
+                                                          capsys):
+        # Each argv is refused on its own too: a file as --out, a bad argument.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.yaml").write_text("bogus: 1\n")
+        (tmp_path / "blocker").write_text("")
+        assert main(argv + ["--config", "cfg.yaml"]) == 1
+        assert capsys.readouterr() == ("", "error: unknown key 'bogus'\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker", "cfg.yaml"]
+        assert (tmp_path / "blocker").read_text() == ""
+
 
 class TestOutputDirectory:
     """The two writers make --out when they write, so a refused command makes nothing."""
@@ -456,6 +474,28 @@ class TestOutputDirectory:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command", [["transitions"], ["sweep", "seg1"], ["spectrum"],
+                                         ["optimize"]])
+    @pytest.mark.parametrize("out", ["blocker", "blocker/sub"])
+    def test_an_out_that_is_not_a_directory_is_refused_in_words(self, command, out, tmp_path,
+                                                                monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        assert main(command + ["--out", out]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: output directory '{out}' is not a directory\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker"]
+        assert (tmp_path / "blocker").read_text() == ""
+
+    def test_simulate_writes_nothing_so_any_out_is_accepted(self, tmp_path, monkeypatch,
+                                                            capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        (tmp_path / "seq.yaml").write_text(SEG1_SEQUENCE)
+        assert main(["simulate", "seq.yaml", "--out", "blocker"]) == 0
+        assert capsys.readouterr().out.startswith("initial_state:")
+        assert (tmp_path / "blocker").read_text() == ""
 
 
 MW_SWAP_SEQUENCE = """\
