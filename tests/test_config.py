@@ -114,6 +114,10 @@ class TestOptimizerSection:
         cfg = parse_config("optimizer:\n  cycle1:\n    t1_us: 0.4\n")
         assert cfg.optimizer.cycle1 == CycleOverrides(t1=0.4)
 
+    def test_cycle1_null_state(self):
+        cfg = parse_config("optimizer: {cycle1: {t1_us: 0.4, seg2_start: null}}\n")
+        assert cfg.optimizer.cycle1 == CycleOverrides(t1=0.4)
+
     def test_cycle1_full(self):
         cfg = parse_config(
             "optimizer:\n"
@@ -307,6 +311,12 @@ class TestParseSequence:
 
     def test_pulses_without_state(self):
         state, pulses = parse_sequence("pulses:\n  - {kind: laser, duration_us: 1}\n")
+        assert state is None
+        assert len(pulses) == 1
+
+    def test_null_state(self):
+        state, pulses = parse_sequence(
+            "initial_state: null\npulses:\n  - {kind: laser, duration_us: 1}\n")
         assert state is None
         assert len(pulses) == 1
 

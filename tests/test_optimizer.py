@@ -295,9 +295,9 @@ class TestOnePropagationPerPass:
     def calls(self, monkeypatch):
         calls, laser_step = [], optimizer._propagate
 
-        def counted(vec, t, rates, *given):
+        def counted(vec, t, rates):
             calls.append(t)
-            return laser_step(vec, t, rates, *given)
+            return laser_step(vec, t, rates)
 
         monkeypatch.setattr(optimizer, "_propagate", counted)
         return calls
