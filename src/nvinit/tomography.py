@@ -31,7 +31,11 @@ and one batched call runs the four n-point FFTs, row r filling bins
 r, r + 4, ... of the result.  It rounds differently from numpy's padded
 FFT, within 2e-15 of the largest magnitude (tested for FID lengths 1 to
 4n, n prime too).  The spectrum, the calibration and the unmixing
-templates share this one transform.
+templates share this one transform.  Both FFTs run in place in a (4, n)
+complex work array that each thread keeps, one per n for its _CACHE_SIZE
+most recently used n (64 bytes per sample, 1 MB at 16384 samples, per
+thread); a transform allocates only the array it returns, which never
+shares memory with the work array.
 
 Everything that depends on the FidParams alone is computed once per
 FidParams and kept in two bounded caches of read-only arrays: the basis
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +71,8 @@ __all__ = [
 #: detuning - split, a_plus1 at detuning + split, a_zero at detuning.
 _MI_ORDER = (-1, +1, 0)
 
-#: Distinct FidParams each cache keeps, least recently used dropped first.
+#: Distinct FidParams each cache keeps, and sample counts each thread keeps a
+#: work array for; least recently used dropped first.
 _CACHE_SIZE = 4
 
 
@@ -169,9 +175,34 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _synthesize(amps, lines, decay: np.ndarray) -> np.ndarray:
     """sum_m amps[m] lines[m], times the decay; unchecked."""
     series = np.zeros(len(decay), dtype=complex)
+    product = np.empty_like(series)
     for a, line in zip(amps, lines):
-        series += a * line
-    return series * decay
+        series += np.multiply(a, line, out=product)
+    series *= decay
+    return series
+
+
+class _WorkArrays(threading.local):
+    """This thread's (4, n) complex work arrays, by sample count n.
+
+    Rows allocated afresh on every transform let glibc trim the heap top and
+    fault it in again on the next call, about 700 pages at 16384 samples.
+    """
+
+    def __init__(self) -> None:
+        self.by_length = collections.OrderedDict()
+
+    def rows(self, n: int) -> np.ndarray:
+        rows = self.by_length.pop(n, None)
+        if rows is None:
+            rows = np.empty((4, n), dtype=complex)
+            if len(self.by_length) == _CACHE_SIZE:
+                self.by_length.popitem(last=False)
+        self.by_length[n] = rows
+        return rows
+
+
+_work = _WorkArrays()
 
 
 def _transform(fid: np.ndarray, phasor: np.ndarray) -> np.ndarray:
@@ -181,22 +212,26 @@ def _transform(fid: np.ndarray, phasor: np.ndarray) -> np.ndarray:
     X[4k + r] = sum_m W_n^(k m) w^(m r) sum_b (-i)^(b r) (-1)^j fid[j], where
     w = exp(-2 pi i / 4n) and phasor[m] = w^m: the shift is a sign flip, and
     row r of the four n-point FFTs, run as one batch, fills bins r, r + 4, ...
+    Both FFTs run in place in this thread's work array; the result is a fresh
+    array gathered from it.
     """
     n = len(phasor)
-    rows = np.zeros((4, n), dtype=complex)
-    signed = rows.reshape(-1)[:len(fid)]
+    rows = _work.rows(n)
+    flat = rows.reshape(-1)
+    signed = flat[:len(fid)]
     signed[:] = fid
     signed[1::2] *= -1
     if len(fid) > n:                    # the 4-point DFT across the blocks
-        rows = np.fft.fft(rows, axis=0)
+        flat[len(fid):] = 0
+        np.fft.fft(rows, axis=0, out=rows)
         for r in (1, 2, 3):
             rows[r:] *= phasor
     else:                               # block 0 alone: the same products, row by row
+        rows[0, len(fid):] = 0
         for r in (1, 2, 3):
             np.multiply(rows[r - 1], phasor, out=rows[r])
-    values = np.empty(4 * n, dtype=complex)
-    np.fft.fft(rows, axis=1, out=values.reshape(n, 4).T)
-    return values
+    np.fft.fft(rows, axis=1, out=rows)
+    return rows.T.reshape(-1)
 
 
 _Basis = collections.namedtuple("_Basis", "lines decay phasor freqs calibration")
@@ -215,10 +250,7 @@ def _basis(fp: FidParams) -> _Basis:
     phasor = _read_only(np.exp(-2j * np.pi / fp.padded_length * np.arange(fp.n_samples)))
     freqs = _read_only(np.fft.fftshift(np.fft.fftfreq(fp.padded_length, fp.dt)))
     fid = _synthesize(np.full(3, 1.0 / 3.0), lines, decay)
-    # A copy made once the transform's buffers are freed: without it glibc trims and regrows
-    # the heap top more often (perfbench readout, ops run by its Runner: 84 vs 77 minor page
-    # faults per op, most of the difference at 2048 samples).
-    calibration = Spectrum(freqs, _read_only(_transform(fid, phasor).copy()), fp.n_samples)
+    calibration = Spectrum(freqs, _read_only(_transform(fid, phasor)), fp.n_samples)
     return _Basis(lines=lines, decay=decay, phasor=phasor, freqs=freqs,
                   calibration=calibration)
 

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -405,6 +407,11 @@ class TestCaches:
         assert bit_equal(synthesize_fid(THIRD, fp), formula_fid(THIRD, fp))
         again = spectrum(synthesize_fid(THIRD, fp), fp)
         assert again.values is not spec.values
+        # the transform runs in this thread's work array; its results are gathered out of it
+        work = tomography._work.by_length[fp.n_samples]
+        for values in (spec.values, again.values):
+            assert not np.shares_memory(values, work)
+        assert not np.shares_memory(spec.values, again.values)
         assert bit_equal(again.values, first)
         assert spectrum_close(again.values, formula_spectrum(formula_fid(THIRD, fp), fp)[0])
 
@@ -516,3 +523,56 @@ class TestPrunedTransform:
         # no padded transform, for an FID longer than n_samples too: the four
         # blocks are folded by a 4-point DFT and transformed as n-point rows
         assert sizes == ([4, n] if size > n else [n])
+
+
+def in_new_thread(fn, *args):
+    """fn(*args) run in a thread of its own, so with work arrays of its own."""
+    results = []
+    thread = threading.Thread(target=lambda: results.append(fn(*args)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(results) == 1
+    return results[0]
+
+
+class TestWorkArrays:
+    """Each thread transforms in work arrays of its own, reused from call to call."""
+
+    def test_threads_match_serial_results(self):
+        fp = FidParams(n_samples=2048)
+        rng = np.random.default_rng(8)
+        fids = [synthesize_fid(SpectralAmplitudes(*rng.uniform(-1.0, 1.0, 3)), fp)
+                for _ in range(8)]
+        want = [spectrum(fid, fp).values for fid in fids]
+        start = threading.Barrier(len(fids), timeout=60)
+        mismatches = [0] * len(fids)
+
+        def worker(t):
+            start.wait()
+            for _ in range(200):
+                mismatches[t] += not bit_equal(spectrum(fids[t], fp).values, want[t])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(fids))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == [0] * len(fids)
+
+    def test_no_stale_rows(self):
+        # A long FID fills the whole work array and a short one row 0 alone: each
+        # call must clear what an earlier call at that length left behind.
+        fp, other = FidParams(n_samples=509), FidParams(n_samples=300)
+        rng = np.random.default_rng(509)
+        noise = rng.normal(size=4 * 509) + 1j * rng.normal(size=4 * 509)
+        calls = [(noise, fp), (noise[:700], other), (noise[:509 // 3], fp),
+                 (noise, fp), (noise[:510], fp)]
+        got = [spectrum(fid, params).values for fid, params in calls]
+        for values, (fid, params) in zip(got, calls):
+            assert bit_equal(values, in_new_thread(spectrum, fid, params).values)
