@@ -14,8 +14,9 @@ accepted so batch drivers can pass it uniformly.  Every command is
 deterministic given its inputs.
 
 main owns what the commands share: it loads the config once, resolves the
-output directory (--out, else the config's output_dir) and sets the exit
-status.  Each command, _cmd_*(args, cfg, out), only computes and writes.
+output directory (--out, else the config's output_dir, each refused when
+empty) and sets the exit status.  Each command, _cmd_*(args, cfg, out),
+only computes and writes.
 Errors produce a single-line diagnostic on stderr and exit status 1; a
 config error comes before any argument error of the command.
 
@@ -38,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _FID_KEYS, _read, load_config, parse_sequence
+from .config import _FID_KEYS, _output_dir, _read, load_config, parse_sequence
 from .hamiltonian import transition_table
 from .optimizer import REFERENCE_CYCLE1_OVERRIDES, optimize_schedule
 from .pulses import _SWAPS, initial_state, run_sequence
@@ -258,7 +259,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(getattr(args, "config", None))
-        args.func(args, cfg, Path(getattr(args, "out", None) or cfg.output_dir))
+        out = _output_dir(args.out, "--out") if hasattr(args, "out") else cfg.output_dir
+        args.func(args, cfg, Path(out))
     except (ValueError, OSError) as exc:
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"error: {message}", file=sys.stderr)

@@ -31,11 +31,12 @@ and one batched call runs the four n-point FFTs, row r filling bins
 r, r + 4, ... of the result.  It rounds differently from numpy's padded
 FFT, within 2e-15 of the largest magnitude (tested for FID lengths 1 to
 4n, n prime too).  The spectrum, the calibration and the unmixing
-templates share this one transform.  Both FFTs run in place in a (4, n)
-complex work array that each thread keeps, one per n for its _CACHE_SIZE
-most recently used n (64 bytes per sample, 1 MB at 16384 samples, per
-thread); a transform allocates only the array it returns, which never
-shares memory with the work array.
+templates share this one transform.  Both FFTs run in place in the first
+4n entries of one complex work buffer that each thread keeps, grown to
+the longest transform it has run and never shrunk (64 bytes times the
+largest n_samples that thread has transformed, 1 MB at 16384 samples); a
+transform allocates only the array it returns, which never shares memory
+with the work buffer.
 
 Everything that depends on the FidParams alone is computed once per
 FidParams and kept in two bounded caches of read-only arrays: the basis
@@ -71,8 +72,7 @@ __all__ = [
 #: detuning - split, a_plus1 at detuning + split, a_zero at detuning.
 _MI_ORDER = (-1, +1, 0)
 
-#: Distinct FidParams each cache keeps, and sample counts each thread keeps a
-#: work array for; least recently used dropped first.
+#: Distinct FidParams each of the two caches keeps; least recently used dropped first.
 _CACHE_SIZE = 4
 
 
@@ -182,27 +182,17 @@ def _synthesize(amps, lines, decay: np.ndarray) -> np.ndarray:
     return series
 
 
-class _WorkArrays(threading.local):
-    """This thread's (4, n) complex work arrays, by sample count n.
+class _Work(threading.local):
+    """This thread's complex work buffer, grown to 4 n for the largest n it transforms.
 
     Rows allocated afresh on every transform let glibc trim the heap top and
     fault it in again on the next call, about 700 pages at 16384 samples.
     """
 
-    def __init__(self) -> None:
-        self.by_length = collections.OrderedDict()
-
-    def rows(self, n: int) -> np.ndarray:
-        rows = self.by_length.pop(n, None)
-        if rows is None:
-            rows = np.empty((4, n), dtype=complex)
-            if len(self.by_length) == _CACHE_SIZE:
-                self.by_length.popitem(last=False)
-        self.by_length[n] = rows
-        return rows
+    buffer = np.empty(0, dtype=complex)
 
 
-_work = _WorkArrays()
+_work = _Work()
 
 
 def _transform(fid: np.ndarray, phasor: np.ndarray) -> np.ndarray:
@@ -212,12 +202,14 @@ def _transform(fid: np.ndarray, phasor: np.ndarray) -> np.ndarray:
     X[4k + r] = sum_m W_n^(k m) w^(m r) sum_b (-i)^(b r) (-1)^j fid[j], where
     w = exp(-2 pi i / 4n) and phasor[m] = w^m: the shift is a sign flip, and
     row r of the four n-point FFTs, run as one batch, fills bins r, r + 4, ...
-    Both FFTs run in place in this thread's work array; the result is a fresh
-    array gathered from it.
+    Both FFTs run in place in the first 4n entries of this thread's work
+    buffer; the result is a fresh array gathered from it.
     """
     n = len(phasor)
-    rows = _work.rows(n)
-    flat = rows.reshape(-1)
+    if len(_work.buffer) < 4 * n:       # grown to the longest transform, never shrunk
+        _work.buffer = np.empty(4 * n, dtype=complex)
+    flat = _work.buffer[:4 * n]
+    rows = flat.reshape(4, n)
     signed = flat[:len(fid)]
     signed[:] = fid
     signed[1::2] *= -1
@@ -348,8 +340,6 @@ def extract_amplitudes(spec: Spectrum, fp: FidParams,
     an FID of fp.n_samples samples, when a line lies outside the grid, or
     when two lines share a bin.
     """
-    if calibration is None:
-        raise ValueError("extraction requires a calibration spectrum")
     _check_record("spec", spec, Spectrum)
     _check_record("fp", fp, FidParams)
     _check_record("calibration", calibration, Spectrum)

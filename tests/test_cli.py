@@ -387,6 +387,15 @@ class TestGlobalFlags:
         assert (dest / "transitions.csv").exists()
         assert not (tmp_path / "fromcfg").exists()
 
+    def test_empty_out_flag_is_refused(self, tmp_path, monkeypatch, capsys):
+        # Refused as an empty output_dir is, not replaced by the config's directory.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.yaml").write_text("output_dir: fromcfg\n")
+        for config in ([], ["--config", "cfg.yaml"]):
+            assert main(["transitions", "--out", "", *config]) == 1
+            assert capsys.readouterr() == ("", "error: --out must be a non-empty string\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.yaml"]
+
     def test_seed_flag_is_accepted(self, tmp_path, capsys):
         assert main(["--seed", "3", "transitions", "--out", str(tmp_path)]) == 0
         capsys.readouterr()

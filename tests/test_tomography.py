@@ -190,7 +190,7 @@ class TestExtraction:
     def test_requires_calibration(self):
         fp = FidParams()
         spec = spectrum(synthesize_fid(THIRD, fp), fp)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^calibration must be a Spectrum, got NoneType$"):
             extract_amplitudes(spec, fp, None)
 
     def test_line_must_be_inside_grid(self):
@@ -407,8 +407,8 @@ class TestCaches:
         assert bit_equal(synthesize_fid(THIRD, fp), formula_fid(THIRD, fp))
         again = spectrum(synthesize_fid(THIRD, fp), fp)
         assert again.values is not spec.values
-        # the transform runs in this thread's work array; its results are gathered out of it
-        work = tomography._work.by_length[fp.n_samples]
+        # the transform runs in this thread's work buffer; its results are gathered out of it
+        work = tomography._work.buffer
         for values in (spec.values, again.values):
             assert not np.shares_memory(values, work)
         assert not np.shares_memory(spec.values, again.values)
@@ -526,7 +526,7 @@ class TestPrunedTransform:
 
 
 def in_new_thread(fn, *args):
-    """fn(*args) run in a thread of its own, so with work arrays of its own."""
+    """fn(*args) run in a thread of its own, so with a work buffer of its own."""
     results = []
     thread = threading.Thread(target=lambda: results.append(fn(*args)))
     thread.start()
@@ -536,7 +536,27 @@ def in_new_thread(fn, *args):
 
 
 class TestWorkArrays:
-    """Each thread transforms in work arrays of its own, reused from call to call."""
+    """Each thread transforms in one work buffer of its own, reused from call to call and
+    grown to 4 n for the largest n it has transformed."""
+
+    @staticmethod
+    def buffers_after(*sample_counts):
+        """This thread's work buffer after a transform at each sample count in turn."""
+        buffers = []
+        for n in sample_counts:
+            fp = FidParams(n_samples=n)
+            spectrum(synthesize_fid(THIRD, fp), fp)
+            buffers.append(tomography._work.buffer)
+        return buffers
+
+    def test_one_buffer_grown_to_the_longest_transform(self):
+        buffers = in_new_thread(self.buffers_after, 16384, 2048, 4096)
+        assert all(buffer is buffers[0] for buffer in buffers)
+        assert buffers[0].shape == (4 * 16384,) and buffers[0].dtype == complex
+
+    def test_a_thread_holds_only_what_it_transforms(self):
+        [buffer] = in_new_thread(self.buffers_after, 2048)
+        assert buffer.shape == (4 * 2048,)
 
     def test_threads_match_serial_results(self):
         fp = FidParams(n_samples=2048)
