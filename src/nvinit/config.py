@@ -47,6 +47,8 @@ Pulse sequences for the simulate command use a second small schema:
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 
 from .hamiltonian import HamiltonianParams
@@ -234,12 +236,29 @@ _ROOT_KEYS = {
 }
 
 
+@functools.cache
+def _loader():
+    """yaml.SafeLoader that also reads YAML 1.2 exponent floats: 1e-3, 2E5, 1.5e3.
+
+    PyYAML follows YAML 1.1, where an exponent needs a dot and a sign, and
+    reads these as text; a quoted "1e-3" stays text.
+    """
+    import yaml     # here, not at module level: import nvinit loads no YAML parser
+
+    class Loader(yaml.SafeLoader):
+        pass
+
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
+    return Loader
+
+
 def _load_yaml(text: str):
     if not (isinstance(text, (str, bytes)) or hasattr(text, "read")):    # text or a stream
         raise ConfigError(f"a document must be text or a stream, got {type(text).__name__}")
-    import yaml     # here, not at module level: import nvinit loads no YAML parser
+    import yaml
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_loader())
     # RecursionError: nested too deeply; ValueError: a constructor refused a value (2001-13-45)
     except (yaml.YAMLError, RecursionError, ValueError) as exc:
         raise ConfigError("malformed document: " + " ".join(str(exc).split())) from None

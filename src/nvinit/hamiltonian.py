@@ -57,8 +57,9 @@ class HamiltonianParams:
 class TransitionRef:
     """A driven transition with its measured reference data.
 
-    reference_freq and rabi_freq are in MHz; kind is "MW" for electron
-    flips (m_s changes) and "RF" for nuclear flips (m_I changes).
+    reference_freq and rabi_freq are in MHz, finite and positive; kind is
+    "MW" for electron flips (m_s changes) and "RF" for nuclear flips (m_I
+    changes).
     """
 
     pair: tuple[tuple[int, int], tuple[int, int]]
@@ -70,6 +71,8 @@ class TransitionRef:
         pair = self.pair    # each level a tuple of two integers before it is compared
         if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_level, pair))):
             raise ValueError(f"pair must be two known (m_s, m_I) levels, got {_shown(pair)}")
+        _check_number("reference_freq", self.reference_freq, 0, strict=True)
+        _check_number("rabi_freq", self.rabi_freq, 0, strict=True)
         (ms_a, mi_a), (ms_b, mi_b) = pair
         if self.kind == "MW":
             if ms_a == ms_b or mi_a != mi_b:

@@ -126,9 +126,13 @@ def _check_record(name: str, value, *kinds: type):
 
 
 def _is_level(level) -> bool:
-    """True for one of LEVELS as a tuple of two ints (numpy's too); an array is never compared."""
+    """True for one of LEVELS as a tuple of two integers; an array is never compared.
+
+    An integer is a numbers.Integral but not a bool, as in _check_number: numpy's
+    integers are Integral and np.bool_ is not.
+    """
     return (isinstance(level, tuple) and len(level) == 2
-            and all(isinstance(q, (int, np.integer)) and not isinstance(q, bool) for q in level)
+            and all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in level)
             and level in LEVEL_INDEX)
 
 

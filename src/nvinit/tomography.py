@@ -42,7 +42,10 @@ Everything that depends on the FidParams alone is computed once per
 FidParams and kept in two bounded caches of read-only arrays: the basis
 (unit lines, decay, the transform's phasor, grid and calibration
 spectrum), which never refuses, and the 3x3 unmixing, which refuses
-lines it cannot separate.
+two lines in one bin.  The spectrum is periodic in frequency (Oppenheim &
+Schafer, Discrete-Time Signal Processing, sec. 8.1), so each line is read
+at its nearest bin modulo the padded length: a line whose nearest bin is
+the one past the last is read at bin 0, its alias at -0.5 / dt.
 Extraction accepts only spectra on exactly the basis grid.
 """
 
@@ -302,18 +305,16 @@ def _unmixing(fp: FidParams) -> tuple[np.ndarray, np.ndarray, complex]:
 
     Template column m is the transform of line_m * decay at the line bins.
     Read-only; 184 bytes of arrays per entry, whatever the sample count.
-    Refuses a line outside the grid and two lines in one bin.
+    The spectrum is periodic, so a line nearest the bin past the last one
+    is read at bin 0.  Refuses two lines in one bin.
     """
     basis = _basis(fp)
     freqs = basis.freqs
     lines = np.array([fp.line_frequency(mi) for mi in _MI_ORDER])
-    for f0 in lines:
-        if f0 < freqs[0] or f0 > freqs[-1]:
-            raise ValueError(f"line frequency {f0} MHz is outside the spectral grid")
-    bins = np.rint((lines - freqs[0]) / (freqs[1] - freqs[0])).astype(int)
+    bins = np.rint((lines - freqs[0]) / (freqs[1] - freqs[0])).astype(int) % fp.padded_length
     if len(set(bins.tolist())) < len(bins):
-        raise ValueError("two lines share a spectral bin; their amplitudes "
-                         "cannot be separated (hyperfine_split too small)")
+        raise ValueError("two lines share a spectral bin; their amplitudes cannot be separated "
+                         "(hyperfine_split too small, or two lines one sampling rate apart)")
     cols = np.array([_transform(line * basis.decay, basis.phasor)[bins]
                      for line in basis.lines])
     # Cramer's rule: row m of the inverse is the cross product of the other
@@ -337,8 +338,8 @@ def extract_amplitudes(spec: Spectrum, fp: FidParams,
     The unmixing needs no reference, so it is only checked to lie on the
     grid of spectrum(fid, fp), element for element, as spec is.  Raises
     ValueError when either spectrum is off that grid, when spec is not of
-    an FID of fp.n_samples samples, when a line lies outside the grid, or
-    when two lines share a bin.
+    an FID of fp.n_samples samples, or when two lines share a bin (bins
+    wrap around the periodic spectrum).
     """
     _check_record("spec", spec, Spectrum)
     _check_record("fp", fp, FidParams)

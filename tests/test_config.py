@@ -181,6 +181,31 @@ class TestDocumentErrors:
         assert issubclass(ConfigError, ValueError)
 
 
+class TestExponentNumbers:
+    # YAML 1.2 floats with an exponent but no dot or no exponent sign.  PyYAML
+    # follows YAML 1.1 and reads them as text ("... must be a number").
+    def test_config(self):
+        cfg = parse_config("rates: {k_i_per_us: 2e-1}\nhamiltonian: {d_zfs_mhz: 2.87E3}\n"
+                           "fid: {dt_us: 2e-2, detuning_mhz: +.4e1}\n"
+                           "optimizer: {t_max_us: 1e1}\n")
+        assert cfg.rates.k_i == 0.2
+        assert cfg.hamiltonian.d_zfs == 2870.0
+        assert (cfg.fid.dt, cfg.fid.detuning) == (0.02, 4.0)
+        assert cfg.optimizer.t_max == 10.0
+
+    def test_sequence(self):
+        state, pulses = parse_sequence("initial_state: [1e0, 0, 0, 0, 0, 0]\n"
+                                       "pulses:\n  - {kind: laser, duration_us: 5e-1}\n")
+        assert state == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert pulses == (Laser(0.5),)
+
+    def test_quoted_exponent_stays_text(self):
+        with pytest.raises(ConfigError, match="^rates.k_i_per_us must be a number$"):
+            parse_config("rates: {k_i_per_us: '2e-1'}\n")
+        with pytest.raises(ConfigError, match="^output_dir must be a string$"):
+            parse_config("output_dir: 1e3\n")
+
+
 BIG = "1" + "0" * 400     # an integer beyond the float range
 
 

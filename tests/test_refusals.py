@@ -76,13 +76,13 @@ def test_spectrum_grid_and_values_of_different_length():
         Spectrum(freqs_mhz=np.zeros(3), values=np.zeros(4), fid_length=3)
 
 
-def test_line_between_the_last_bin_and_nyquist():
-    # dt = 1/32 us: Nyquist 16 MHz, last bin 16 - 1/32 MHz; the m_I = +1 line
-    # sits at 15.984375 MHz, inside the Nyquist limit but past the last bin.
-    fp = FidParams(detuning=15.5, hyperfine_split=0.484375, dt=0.03125, n_samples=256)
-    spec = spectrum(synthesize_fid(SpectralAmplitudes(0.1, 0.1, 0.1), fp), fp)
-    with refused(ValueError, "line frequency 15.984375 MHz is outside the spectral grid"):
-        extract_amplitudes(spec, fp, calibration_spectrum(fp))
+def test_lines_one_sampling_rate_apart_share_a_bin():
+    # dt = 1/32 us: lines at -15.99 and 15.99 MHz, 31.98 MHz apart against a
+    # 32 MHz sampling rate, both wrap to bin 0.
+    fp = FidParams(detuning=0.0, hyperfine_split=15.99, dt=0.03125, n_samples=256)
+    with refused(ValueError, "two lines share a spectral bin; their amplitudes cannot be "
+                 "separated (hyperfine_split too small, or two lines one sampling rate apart)"):
+        extract_amplitudes(calibration_spectrum(fp), fp, calibration_spectrum(fp))
 
 
 @pytest.mark.parametrize("key", ["k_s_per_us", "inv_k_s_us", "k_i_per_us", "inv_k_i_us"])
@@ -124,6 +124,10 @@ REF = {"reference_freq": 1.0, "rabi_freq": 1.0, "kind": "MW"}
      "b_field must be a real number, got array(6.1)"),
     (SpectralAmplitudes, {**AMPS, "a_plus1": 1j}, "a_plus1 must be a real number, got 1j"),
     (FidParams, {"dt": "0.02"}, "dt must be a real number, got '0.02'"),
+    (TransitionRef, {**REF, "pair": ((0, -1), (-1, -1)), "reference_freq": float("nan"),
+                     "rabi_freq": -1.0}, "reference_freq must be finite, got nan"),
+    (TransitionRef, {**REF, "pair": ((0, -1), (-1, -1)), "rabi_freq": -1.0},
+     "rabi_freq must be positive, got -1.0"),
 ])
 def test_parameter_record_field_that_is_not_a_finite_real(record, kwargs, message):
     with refused(ValueError, message):
@@ -267,6 +271,8 @@ P = (1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0)
      "invalid transition pair for MW pulse: ((0, True), (-1, True))"),
     (energy, {"level": (np.zeros(2), 0)}, "unknown level (array([0., 0.]), 0)"),
     (energy, {"level": (0, True)}, "unknown level (0, True)"),
+    (MwPi, {"pair": ((0, np.True_), (-1, np.True_))},
+     f"invalid transition pair for MW pulse: {((0, np.True_), (-1, np.True_))!r}"),
     (transition_frequency, {"a": (0, -1), "b": (np.zeros(2), 0)},
      "unknown level (array([0., 0.]), 0)"),
     (TransitionRef, {"pair": ((np.zeros(2), 0), (0, -1)), **REF},

@@ -101,6 +101,17 @@ class TestFidParams:
         with pytest.raises(ValueError):
             FidParams(detuning=23.0, dt=0.02, hyperfine_split=-2.16)
 
+    @pytest.mark.parametrize("detuning, split, below", [(15.5, 0.5, 0.484375),
+                                                        (-15.5, -0.5, -0.484375)])
+    def test_line_exactly_at_nyquist_is_refused(self, detuning, split, below):
+        # dt = 1/32 us: Nyquist is exactly 16 MHz, which 15.5 + 0.5 reaches exactly;
+        # a split 1/64 MHz smaller is accepted
+        FidParams(detuning=detuning, hyperfine_split=below, dt=0.03125, n_samples=256)
+        with pytest.raises(ValueError, match=re.escape(
+                "line frequencies violate the Nyquist limit: "
+                f"|{detuning}| + |{split}| >= 16.0")):
+            FidParams(detuning=detuning, hyperfine_split=split, dt=0.03125, n_samples=256)
+
 
 class TestSynthesize:
     def test_zero_amplitudes(self):
@@ -193,14 +204,20 @@ class TestExtraction:
         with pytest.raises(ValueError, match="^calibration must be a Spectrum, got NoneType$"):
             extract_amplitudes(spec, fp, None)
 
-    def test_line_must_be_inside_grid(self):
-        # The m_I = +1 line sits between the last bin and Nyquist.  The
-        # unmixing is cached, so the refusal must fire on every call.
-        fp = FidParams(detuning=15.5, hyperfine_split=0.484375, dt=0.03125, n_samples=256)
-        cal = calibration_spectrum(fp)
-        for _ in range(3):
-            with pytest.raises(ValueError, match="^line frequency 15.984375 MHz is outside"):
-                extract_amplitudes(cal, fp, cal)
+    @pytest.mark.parametrize("split, bins", [(0.484375, [992, 0, 1008]),
+                                             (-15.96875, [1023, 1, 512])],
+                             ids=["past-the-last-bin", "on-the-last-bin"])
+    def test_lines_at_the_top_of_the_grid_read_exactly(self, split, bins):
+        # dt = 1/32 us: 1024 bins from -16 to 15.96875 MHz.  A line at 15.984375
+        # MHz rounds to bin 1024, which wraps to bin 0 (-16 MHz, its alias); a
+        # line at 15.96875 MHz sits on the last bin.
+        detuning = 15.5 if split > 0 else 0.0
+        fp = FidParams(detuning=detuning, hyperfine_split=split, dt=0.03125, n_samples=256)
+        assert tomography._unmixing(fp)[0].tolist() == bins
+        amps = SpectralAmplitudes(0.1, -0.2, 0.3)
+        got = extract_amplitudes(spectrum(synthesize_fid(amps, fp), fp), fp,
+                                 calibration_spectrum(fp))
+        assert np.abs(got.as_array() - amps.as_array()).max() <= 1e-15
 
     def test_calibration_self_extraction_is_exact(self):
         fp = FidParams()
@@ -435,12 +452,13 @@ class TestCaches:
             roundtrip(PUBLISHED, fp)
             assert [cache.cache_info().misses for cache in CACHES] == [1, 1]
 
-    @pytest.mark.parametrize("fp, refusal", [
-        (FidParams(hyperfine_split=0.0, n_samples=512), "two lines share a spectral bin"),
-        (FidParams(detuning=15.5, hyperfine_split=0.484375, dt=0.03125, n_samples=256),
-         "line frequency 15.984375 MHz is outside"),
-    ], ids=["shared-bin", "past-the-last-bin"])
-    def test_unreadable_params_fill_the_basis_only(self, fp, refusal):
+    @pytest.mark.parametrize("fp", [
+        FidParams(hyperfine_split=0.0, n_samples=512),
+        # lines at -15.99 and 15.99 MHz, one 32 MHz sampling rate apart but for
+        # 0.02 MHz, both wrap to bin 0
+        FidParams(detuning=0.0, hyperfine_split=15.99, dt=0.03125, n_samples=256),
+    ], ids=["shared-bin", "one-sampling-rate-apart"])
+    def test_unreadable_params_fill_the_basis_only(self, fp):
         # such params still synthesize, transform and calibrate; lru_cache
         # keeps no refusal, so the unmixing refuses on every call
         for cache in CACHES:
@@ -448,7 +466,7 @@ class TestCaches:
         cal = calibration_spectrum(fp)
         spec = spectrum(synthesize_fid(THIRD, fp), fp)
         for _ in range(3):
-            with pytest.raises(ValueError, match="^" + refusal):
+            with pytest.raises(ValueError, match="^two lines share a spectral bin"):
                 extract_amplitudes(spec, fp, cal)
         basis, unmixing = (cache.cache_info() for cache in CACHES)
         assert (basis.misses, basis.currsize) == (1, 1)
