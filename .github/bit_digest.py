@@ -4,9 +4,14 @@ The set: optimize_schedule calls (both strategies and objectives, k_i = 0 in
 about half, t_max in {0.3, 10, 21} us, three kinds of first-cycle overrides,
 starts with dust down to -1e-9), optimize_laser, run_sequence traces with swap
 fidelities in [0, 1], propagate and apply_pulse, and the rows of nvinit sweep
-before they are rounded.  Run on two trees on one machine, equal digests show a
-change bit-identical; libm may differ between machines, so the Python and numpy
-versions are printed beside it.  PYTHONPATH selects the tree that is measured:
+before they are rounded.  A second sha256, the readout digest, covers each
+calibration spectrum, the spectra of FIDs of 1, 7, n//3, n - 1 and n samples,
+and the amplitudes extracted from the n-sample ones, for the default FidParams
+at n in {256, 257, 509, 1000, 2048, 4096, 16384}, one at n = 3000 with other
+lines, decay and step, and one with a line past the last bin of its grid.  Run on
+two trees on one machine, equal digests show a change bit-identical; libm may
+differ between machines, so the Python and numpy versions are printed beside
+them.  PYTHONPATH selects the tree that is measured:
 
     PYTHONPATH=src python3 .github/bit_digest.py
 
@@ -74,8 +79,29 @@ with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringI
                  ["seg2", "--t-max", "0.3", "--steps", "7"],
                  ["seg1", "--config", str(config)], ["seg2", "--config", str(config)]):
         assert cli.main(["sweep", *args, "--out", out]) == 0
+readout, draws = hashlib.sha256(), random.Random(20261021)
+def feed_readout(name, values):     # complex values, as two little-endian IEEE doubles each
+    readout.update(np.asarray(values, dtype="<c16").tobytes())
+    counts[name] = counts.get(name, 0) + 1
+READOUT_PARAMS = [nvinit.FidParams(n_samples=n) for n in (256, 257, 509, 1000, 2048, 4096, 16384)]
+READOUT_PARAMS += [nvinit.FidParams(detuning=-3.1, hyperfine_split=1.7, t2star=0.8, dt=0.05,
+                                    n_samples=3000),     # a padded length not a power of two
+                   nvinit.FidParams(detuning=15.5, hyperfine_split=0.484375, dt=0.03125,
+                                    n_samples=256)]      # a line past the last bin, read at bin 0
+for fp in READOUT_PARAMS:
+    calibration = nvinit.calibration_spectrum(fp)
+    feed_readout("calibrations", calibration.values)
+    n = fp.n_samples
+    for _ in range(3):
+        fid = nvinit.synthesize_fid(nvinit.SpectralAmplitudes(
+            *(draws.uniform(-1.0, 1.0) for _ in range(3))), fp)
+        for length in (1, 7, n // 3, n - 1, n):      # the n-sample spectrum is extracted
+            spec = nvinit.spectrum(fid[:length], fp)
+            feed_readout("spectra", spec.values)
+        feed_readout("extractions", nvinit.extract_amplitudes(spec, fp, calibration).as_array())
 print("```")
 print(f"bit digest {digest.hexdigest()}")
+print(f"readout digest {readout.hexdigest()}")
 print(f"Python {platform.python_version()}, numpy {np.__version__}; "
       + ", ".join(f"{count} {name}" for name, count in counts.items()))
 print("```")

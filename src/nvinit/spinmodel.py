@@ -96,8 +96,8 @@ def _check_number(name: str, value, low: float = -math.inf, high: float = math.i
     fields must be hashable), finite, and in [low, high], or (low, high] when
     strict.  Each refusal is a one-line ValueError that starts with name.
     """
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if not (_is_integer(value) if integer
+            else (isinstance(value, numbers.Real) and not isinstance(value, bool))):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a real number'}, "
                          f"got {_shown(value)}")
     try:
@@ -125,14 +125,20 @@ def _check_record(name: str, value, *kinds: type):
     return value
 
 
-def _is_level(level) -> bool:
-    """True for one of LEVELS as a tuple of two integers; an array is never compared.
+def _is_integer(value) -> bool:
+    """The package's one integer rule: a numbers.Integral but not a bool.
 
-    An integer is a numbers.Integral but not a bool, as in _check_number: numpy's
-    integers are Integral and np.bool_ is not.
+    numpy's integers are Integral and np.bool_ is not.  An int is settled by its
+    type alone, before the ABC check, which costs some thirty times as much.
     """
-    return (isinstance(level, tuple) and len(level) == 2
-            and all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in level)
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
+def _is_level(level) -> bool:
+    """True for one of LEVELS as a tuple of two integers (_is_integer); an array is
+    never compared."""
+    return (isinstance(level, tuple) and len(level) == 2 and all(map(_is_integer, level))
             and level in LEVEL_INDEX)
 
 

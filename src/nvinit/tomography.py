@@ -22,16 +22,15 @@ the leakage and keeps the sign: a noise-free FID round-trips to rounding
 error, for negative amplitudes too.
 
 The spectrum is the zero-padded, shifted FFT fftshift(fft(fid, n=4n)),
-n = n_samples, pruned for the padding it knows to be zero (Markel 1971;
-Sorensen & Burrus 1993).  Sample j is multiplied by (-1)^j, so the shift
-is exact sign flips; the FID is folded into four blocks of n samples by
-a 4-point DFT across the blocks (only block 0 is nonzero when the FID is
-no longer than n); row r is multiplied by w^(m r), w = exp(-2 pi i / 4n);
-and one batched call runs the four n-point FFTs, row r filling bins
-r, r + 4, ... of the result.  It rounds differently from numpy's padded
-FFT, within 2e-15 of the largest magnitude (tested for FID lengths 1 to
-4n, n prime too).  The spectrum, the calibration and the unmixing
-templates share this one transform.  Both FFTs run in place in the first
+n = n_samples, of an FID of 1 to n samples, pruned for the padding it
+knows to be zero (Markel 1971; Sorensen & Burrus 1993).  Sample m is
+multiplied by (-1)^m, so the shift is exact sign flips; row r of four
+rows of n is that signed FID times w^(m r), w = exp(-2 pi i / 4n); and
+one batched call runs the four n-point FFTs, row r filling bins r, r + 4,
+... of the result.  It rounds differently from numpy's padded FFT, within
+2e-15 of the largest magnitude (tested for FID lengths 1 to n, n prime
+too).  The spectrum, the calibration and the unmixing templates share
+this one transform.  Both FFTs run in place in the first
 4n entries of one complex work buffer that each thread keeps, grown to
 the longest transform it has run and never shrunk (64 bytes times the
 largest n_samples that thread has transformed, 1 MB at 16384 samples); a
@@ -39,14 +38,15 @@ transform allocates only the array it returns, which never shares memory
 with the work buffer.
 
 Everything that depends on the FidParams alone is computed once per
-FidParams and kept in two bounded caches of read-only arrays: the basis
-(unit lines, decay, the transform's phasor, grid and calibration
-spectrum), which never refuses, and the 3x3 unmixing, which refuses
-two lines in one bin.  The spectrum is periodic in frequency (Oppenheim &
-Schafer, Discrete-Time Signal Processing, sec. 8.1), so each line is read
-at its nearest bin modulo the padded length: a line whose nearest bin is
-the one past the last is read at bin 0, its alias at -0.5 / dt.
-Extraction accepts only spectra on exactly the basis grid.
+FidParams and kept in one bounded cache of read-only arrays, the basis:
+unit lines, decay, the transform's phasor, grid, calibration spectrum
+and the 3x3 unmixing.  It never refuses; extraction refuses, from the
+cached unmixing, two lines in one bin.  The spectrum is periodic in
+frequency (Oppenheim & Schafer, Discrete-Time Signal Processing, sec.
+8.1), so each line is read at its nearest bin modulo the padded length: a
+line whose nearest bin is the one past the last is read at bin 0, its
+alias at -0.5 / dt.  Extraction accepts only spectra on exactly the basis
+grid.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ __all__ = [
 #: detuning - split, a_plus1 at detuning + split, a_zero at detuning.
 _MI_ORDER = (-1, +1, 0)
 
-#: Distinct FidParams each of the two caches keeps; least recently used dropped first.
+#: Distinct FidParams the basis cache keeps; least recently used dropped first.
 _CACHE_SIZE = 4
 
 
@@ -199,45 +199,45 @@ _work = _Work()
 
 
 def _transform(fid: np.ndarray, phasor: np.ndarray) -> np.ndarray:
-    """fftshift(fft(fid, n=4n)) pruned for the zero padding, n = len(phasor); unchecked.
+    """fftshift(fft(fid, n=4n)) pruned for the zero padding, n = len(phasor) >= len(fid);
+    unchecked.
 
-    With sample j = m + n b (block b) and bin i = 4k + r, the shifted bin is
-    X[4k + r] = sum_m W_n^(k m) w^(m r) sum_b (-i)^(b r) (-1)^j fid[j], where
-    w = exp(-2 pi i / 4n) and phasor[m] = w^m: the shift is a sign flip, and
-    row r of the four n-point FFTs, run as one batch, fills bins r, r + 4, ...
-    Both FFTs run in place in the first 4n entries of this thread's work
-    buffer; the result is a fresh array gathered from it.
+    With bin i = 4k + r, the shifted bin is X[4k + r] = sum_m W_n^(k m) w^(m r)
+    (-1)^m fid[m], where w = exp(-2 pi i / 4n) and phasor[m] = w^m: the shift is a
+    sign flip, and row r of the four n-point FFTs, run as one batch, fills bins
+    r, r + 4, ...  Both FFTs run in place in the first 4n entries of this thread's
+    work buffer; the result is a fresh array gathered from it.
     """
     n = len(phasor)
     if len(_work.buffer) < 4 * n:       # grown to the longest transform, never shrunk
         _work.buffer = np.empty(4 * n, dtype=complex)
-    flat = _work.buffer[:4 * n]
-    rows = flat.reshape(4, n)
-    signed = flat[:len(fid)]
+    rows = _work.buffer[:4 * n].reshape(4, n)
+    signed = rows[0, :len(fid)]
     signed[:] = fid
     signed[1::2] *= -1
-    if len(fid) > n:                    # the 4-point DFT across the blocks
-        flat[len(fid):] = 0
-        np.fft.fft(rows, axis=0, out=rows)
-        for r in (1, 2, 3):
-            rows[r:] *= phasor
-    else:                               # block 0 alone: the same products, row by row
-        rows[0, len(fid):] = 0
-        for r in (1, 2, 3):
-            np.multiply(rows[r - 1], phasor, out=rows[r])
+    rows[0, len(fid):] = 0
+    for r in (1, 2, 3):
+        np.multiply(rows[r - 1], phasor, out=rows[r])
     np.fft.fft(rows, axis=1, out=rows)
     return rows.T.reshape(-1)
 
 
-_Basis = collections.namedtuple("_Basis", "lines decay phasor freqs calibration")
+_Basis = collections.namedtuple("_Basis",
+                                "lines decay phasor freqs calibration bins adjugate det")
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _basis(fp: FidParams) -> _Basis:
     """Unit lines exp(2j pi f_m tau) in _MI_ORDER, decay exp(-tau / t2star), the
-    transform's phasor exp(-2j pi m / padded_length), freqs (the shifted grid in MHz)
-    and the calibration spectrum on freqs: 72 bytes per sample plus 24 per padded
-    bin, 2.8 MB at 16384 samples."""
+    transform's phasor exp(-2j pi m / padded_length), freqs (the shifted grid in MHz),
+    the calibration spectrum on freqs, and the line bins and the adjugate and
+    determinant of the 3x3 unit-line templates: 72 bytes per sample plus 24 per
+    padded bin, 2.8 MB at 16384 samples.
+
+    Template column m is the transform of line_m * decay at the line bins.  The
+    spectrum is periodic, so a line nearest the bin past the last one is read at
+    bin 0.  Two lines in one bin make two template rows equal, and det exactly 0.
+    """
     tau = np.arange(fp.n_samples) * fp.dt
     lines = tuple(_read_only(np.exp(2j * np.pi * fp.line_frequency(mi) * tau))
                   for mi in _MI_ORDER)
@@ -246,8 +246,17 @@ def _basis(fp: FidParams) -> _Basis:
     freqs = _read_only(np.fft.fftshift(np.fft.fftfreq(fp.padded_length, fp.dt)))
     fid = _synthesize(np.full(3, 1.0 / 3.0), lines, decay)
     calibration = Spectrum(freqs, _read_only(_transform(fid, phasor)), fp.n_samples)
+    centers = np.array([fp.line_frequency(mi) for mi in _MI_ORDER])
+    bins = np.rint((centers - freqs[0]) / (freqs[1] - freqs[0])).astype(int) % fp.padded_length
+    cols = np.array([_transform(line * decay, phasor)[bins] for line in lines])
+    # Cramer's rule: row m of the inverse is the cross product of the other
+    # two template columns over the determinant (cond(T) is 1.1 at the default
+    # 2.16 MHz spacing).  Elementwise sums keep BLAS and LAPACK, and the
+    # memory they map, out of a 3x3 solve.
+    adjugate = np.cross(cols[[1, 2, 0]], cols[[2, 0, 1]])
     return _Basis(lines=lines, decay=decay, phasor=phasor, freqs=freqs,
-                  calibration=calibration)
+                  calibration=calibration, bins=_read_only(bins),
+                  adjugate=_read_only(adjugate), det=(adjugate[0] * cols[0]).sum())
 
 
 def synthesize_fid(amps: SpectralAmplitudes, fp: FidParams = FidParams()) -> np.ndarray:
@@ -273,9 +282,10 @@ def spectrum(fid: np.ndarray, fp: FidParams = FidParams()) -> Spectrum:
     fid = np.asarray(fid)
     if fid.dtype.kind not in "iufc":        # text such as "1+2j" is refused, not parsed
         raise ValueError(f"FID must hold numbers, got dtype {fid.dtype}")
+    if fid.ndim != 1 or not 1 <= len(fid) <= fp.n_samples:
+        raise ValueError(f"FID must be a 1-d series of 1 to {fp.n_samples} samples, "
+                         f"got shape {fid.shape}")
     fid = fid.astype(complex, copy=False)
-    if fid.ndim != 1 or len(fid) > fp.padded_length:
-        raise ValueError("FID must be a 1-d series no longer than the padded length")
     if not np.isfinite(fid).all():
         raise ValueError("FID must be finite")
     basis = _basis(fp)
@@ -291,38 +301,12 @@ def calibration_spectrum(fp: FidParams = FidParams()) -> Spectrum:
     return _basis(_check_record("fp", fp, FidParams)).calibration
 
 
-def _check_grid(spec: Spectrum, fp: FidParams, name: str) -> None:
-    grid = _basis(fp).freqs   # spectrum(fid, fp) shares it: identity settles most calls
+def _check_grid(spec: Spectrum, grid: np.ndarray, fp: FidParams, name: str) -> None:
+    # spectrum(fid, fp) shares the cached grid: identity settles most calls
     if spec.freqs_mhz is not grid and not np.array_equal(spec.freqs_mhz, grid):
         raise ValueError(f"{name} is not on the grid of the FID parameters "
                          f"({fp.padded_length} bins of "
                          f"{1.0 / (fp.padded_length * fp.dt):.9g} MHz)")
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _unmixing(fp: FidParams) -> tuple[np.ndarray, np.ndarray, complex]:
-    """Line bins, adjugate and determinant of the 3x3 unit-line templates.
-
-    Template column m is the transform of line_m * decay at the line bins.
-    Read-only; 184 bytes of arrays per entry, whatever the sample count.
-    The spectrum is periodic, so a line nearest the bin past the last one
-    is read at bin 0.  Refuses two lines in one bin.
-    """
-    basis = _basis(fp)
-    freqs = basis.freqs
-    lines = np.array([fp.line_frequency(mi) for mi in _MI_ORDER])
-    bins = np.rint((lines - freqs[0]) / (freqs[1] - freqs[0])).astype(int) % fp.padded_length
-    if len(set(bins.tolist())) < len(bins):
-        raise ValueError("two lines share a spectral bin; their amplitudes cannot be separated "
-                         "(hyperfine_split too small, or two lines one sampling rate apart)")
-    cols = np.array([_transform(line * basis.decay, basis.phasor)[bins]
-                     for line in basis.lines])
-    # Cramer's rule: row m of the inverse is the cross product of the other
-    # two template columns over the determinant (cond(T) is 1.1 at the default
-    # 2.16 MHz spacing).  Elementwise sums keep BLAS and LAPACK, and the
-    # memory they map, out of a 3x3 solve.
-    adjugate = np.cross(cols[[1, 2, 0]], cols[[2, 0, 1]])
-    return _read_only(bins), _read_only(adjugate), (adjugate[0] * cols[0]).sum()
 
 
 def extract_amplitudes(spec: Spectrum, fp: FidParams,
@@ -344,11 +328,14 @@ def extract_amplitudes(spec: Spectrum, fp: FidParams,
     _check_record("spec", spec, Spectrum)
     _check_record("fp", fp, FidParams)
     _check_record("calibration", calibration, Spectrum)
-    _check_grid(spec, fp, "spectrum")
+    basis = _basis(fp)
+    _check_grid(spec, basis.freqs, fp, "spectrum")
     if spec.fid_length != fp.n_samples:
         raise ValueError(f"spectrum is of {spec.fid_length} FID samples, "
                          f"the FID parameters have {fp.n_samples}")
-    _check_grid(calibration, fp, "calibration spectrum")
-    bins, adjugate, det = _unmixing(fp)
-    amps = (adjugate * spec.values[bins]).sum(axis=1) / det
+    _check_grid(calibration, basis.freqs, fp, "calibration spectrum")
+    if basis.det == 0:
+        raise ValueError("two lines share a spectral bin; their amplitudes cannot be separated "
+                         "(hyperfine_split too small, or two lines one sampling rate apart)")
+    amps = (basis.adjugate * spec.values[basis.bins]).sum(axis=1) / basis.det
     return SpectralAmplitudes(*(float(a) for a in amps.real))

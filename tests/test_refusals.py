@@ -65,9 +65,11 @@ def test_pulse_pair_that_is_not_two_levels():
         parse_sequence("pulses:\n  - {kind: mw_pi, pair: [1, 2]}\n")
 
 
-@pytest.mark.parametrize("fid", [np.zeros((2, 256)), np.zeros(1025)])
+@pytest.mark.parametrize("fid", [np.zeros((2, 256)), np.zeros(0), np.zeros(257),
+                                 np.zeros(1025)], ids=["2-d", "empty", "n+1", "4n+1"])
 def test_spectrum_of_a_fid_of_the_wrong_shape(fid):
-    with refused(ValueError, "FID must be a 1-d series no longer than the padded length"):
+    with refused(ValueError,
+                 f"FID must be a 1-d series of 1 to 256 samples, got shape {fid.shape}"):
         spectrum(fid, FidParams(n_samples=256))
 
 

@@ -213,7 +213,7 @@ class TestExtraction:
         # line at 15.96875 MHz sits on the last bin.
         detuning = 15.5 if split > 0 else 0.0
         fp = FidParams(detuning=detuning, hyperfine_split=split, dt=0.03125, n_samples=256)
-        assert tomography._unmixing(fp)[0].tolist() == bins
+        assert tomography._basis(fp).bins.tolist() == bins
         amps = SpectralAmplitudes(0.1, -0.2, 0.3)
         got = extract_amplitudes(spectrum(synthesize_fid(amps, fp), fp), fp,
                                  calibration_spectrum(fp))
@@ -288,8 +288,8 @@ class TestExtraction:
             extract_amplitudes(spec, fp, calibration_spectrum(fp))
 
     def test_spectrum_off_the_grid_is_refused(self):
-        fp = FidParams()
-        short = spectrum(synthesize_fid(THIRD, fp), FidParams(n_samples=1024))
+        fp, other = FidParams(), FidParams(n_samples=1024)
+        short = spectrum(synthesize_fid(THIRD, other), other)
         with pytest.raises(ValueError):
             extract_amplitudes(short, fp, calibration_spectrum(fp))
         with pytest.raises(ValueError):
@@ -386,7 +386,7 @@ def spectrum_close(got, want):
             and np.abs(got - want).max() <= SPECTRUM_TOL * np.abs(want).max())
 
 
-CACHES = (tomography._basis, tomography._unmixing)
+CACHE = tomography._basis
 # 3000 samples: a padded length (12000) that is not a power of two.
 OTHER = FidParams(detuning=-3.1, hyperfine_split=1.7, t2star=0.8, dt=0.05, n_samples=3000)
 FORMULA_PARAMS = [FidParams(n_samples=n) for n in (256, 2048, 4096, 16384)] + [OTHER]
@@ -407,8 +407,8 @@ class TestCaches:
     def test_cached_arrays_are_read_only(self):
         cal = calibration_spectrum(OTHER)
         spec = spectrum(synthesize_fid(THIRD, OTHER), OTHER)
-        bins, adjugate, _ = tomography._unmixing(OTHER)
-        for array in (cal.values, cal.freqs_mhz, spec.freqs_mhz, bins, adjugate):
+        basis = tomography._basis(OTHER)
+        for array in (cal.values, cal.freqs_mhz, spec.freqs_mhz, basis.bins, basis.adjugate):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         assert spectrum_close(cal.values, formula_spectrum(formula_fid(THIRD, OTHER), OTHER)[0])
@@ -432,45 +432,53 @@ class TestCaches:
         assert bit_equal(again.values, first)
         assert spectrum_close(again.values, formula_spectrum(formula_fid(THIRD, fp), fp)[0])
 
-    def test_caches_are_bounded(self):
-        for cache in CACHES:
-            assert 0 < cache.cache_info().maxsize <= 8
-        for k in range(max(cache.cache_info().maxsize for cache in CACHES) + 3):
+    def test_cache_is_bounded(self):
+        assert 0 < CACHE.cache_info().maxsize <= 8
+        for k in range(CACHE.cache_info().maxsize + 3):
             fp = FidParams(detuning=1.0 + 0.25 * k, n_samples=256)
             extract_amplitudes(calibration_spectrum(fp), fp, calibration_spectrum(fp))
-            for cache in CACHES:
-                info = cache.cache_info()
-                assert info.currsize <= info.maxsize
+            info = CACHE.cache_info()
+            assert info.currsize <= info.maxsize
 
-    def test_round_trip_fills_each_cache_once(self):
-        # _basis serves synthesis, transform, calibration and the grid check;
-        # _unmixing is solved on the first extraction.
-        for cache in CACHES:
-            cache.cache_clear()
+    def test_round_trip_fills_the_cache_once(self):
+        # _basis serves synthesis, transform, calibration, the grid check and the unmixing
+        CACHE.cache_clear()
         fp = FidParams(detuning=2.5, n_samples=512)
         for _ in range(2):
             roundtrip(PUBLISHED, fp)
-            assert [cache.cache_info().misses for cache in CACHES] == [1, 1]
+            assert CACHE.cache_info().misses == 1
 
     @pytest.mark.parametrize("fp", [
         FidParams(hyperfine_split=0.0, n_samples=512),
         # lines at -15.99 and 15.99 MHz, one 32 MHz sampling rate apart but for
         # 0.02 MHz, both wrap to bin 0
         FidParams(detuning=0.0, hyperfine_split=15.99, dt=0.03125, n_samples=256),
-    ], ids=["shared-bin", "one-sampling-rate-apart"])
-    def test_unreadable_params_fill_the_basis_only(self, fp):
-        # such params still synthesize, transform and calibrate; lru_cache
-        # keeps no refusal, so the unmixing refuses on every call
-        for cache in CACHES:
-            cache.cache_clear()
+        # the m_I = +1 and 0 lines 0.02 bins apart in bin 4196, the -1 line in bin 4197
+        FidParams(detuning=100.49 / 163.84, hyperfine_split=-0.02 / 163.84),
+    ], ids=["shared-bin", "one-sampling-rate-apart", "two-of-three"])
+    def test_unreadable_params_are_refused_from_one_basis(self, fp, monkeypatch):
+        # such params still synthesize, transform and calibrate; each extraction
+        # is refused from the cached determinant, with no transform run
+        CACHE.cache_clear()
         cal = calibration_spectrum(fp)
         spec = spectrum(synthesize_fid(THIRD, fp), fp)
+        transforms = []
+        transform = tomography._transform
+
+        def counted(fid, phasor):
+            transforms.append(len(fid))
+            return transform(fid, phasor)
+
+        monkeypatch.setattr(tomography, "_transform", counted)
         for _ in range(3):
-            with pytest.raises(ValueError, match="^two lines share a spectral bin"):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    "two lines share a spectral bin; their amplitudes cannot be separated "
+                    "(hyperfine_split too small, or two lines one sampling rate apart)") + "$"):
                 extract_amplitudes(spec, fp, cal)
-        basis, unmixing = (cache.cache_info() for cache in CACHES)
-        assert (basis.misses, basis.currsize) == (1, 1)
-        assert (unmixing.misses, unmixing.currsize) == (3, 0)
+        assert transforms == []
+        assert tomography._basis(fp).det == 0
+        info = CACHE.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     @pytest.mark.parametrize("fp", FORMULA_PARAMS, ids=fp_id)
     def test_within_bounds_of_the_formulas(self, fp):
@@ -503,44 +511,56 @@ class TestCaches:
     def test_templates_match_the_closed_form_dft(self, fp):
         # The cache keeps the inverse of the templates as adjugate / det;
         # rebuilt from the closed-form DFT, both agree to 1e-13 relative.
-        bins, adjugate, det = tomography._unmixing(fp)
-        cols = closed_form_templates(fp, bins).T
+        basis = tomography._basis(fp)
+        cols = closed_form_templates(fp, basis.bins).T
         want = np.cross(cols[[1, 2, 0]], cols[[2, 0, 1]])
         want_det = (want[0] * cols[0]).sum()
-        assert np.abs(adjugate - want).max() <= 1e-13 * np.abs(want).max()
-        assert abs(det - want_det) <= 1e-13 * abs(want_det)
+        assert np.abs(basis.adjugate - want).max() <= 1e-13 * np.abs(want).max()
+        assert abs(basis.det - want_det) <= 1e-13 * abs(want_det)
+
+
+def counted_ffts(monkeypatch):
+    """The length of each FFT that numpy.fft.fft runs from now on, along its axis."""
+    sizes = []
+    fft = np.fft.fft
+
+    def counted(a, *args, axis=-1, **kwargs):
+        sizes.append(np.shape(a)[axis])
+        return fft(a, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    return sizes
 
 
 class TestPrunedTransform:
-    """spectrum against numpy's padded, shifted FFT at every FID length."""
+    """spectrum against numpy's padded, shifted FFT at every FID length it accepts."""
 
     @pytest.mark.parametrize("n", [257, 3000])
-    @pytest.mark.parametrize("length", [
-        lambda n: 1, lambda n: n // 3, lambda n: n, lambda n: n + 1,
-        lambda n: 2 * n + 7, lambda n: 4 * n,
-    ], ids=["1", "n//3", "n", "n+1", "2n+7", "4n"])
+    @pytest.mark.parametrize("length", [lambda n: 1, lambda n: n // 3, lambda n: n],
+                             ids=["1", "n//3", "n"])
     def test_lengths_match_the_padded_fft(self, n, length, monkeypatch):
         fp = FidParams(n_samples=n)
-        rng = np.random.default_rng(n)
         size = length(n)
-        noise = rng.normal(size=3 * n) + 1j * rng.normal(size=3 * n)
-        fid = np.concatenate([synthesize_fid(THIRD, fp), noise])[:size]
+        fid = synthesize_fid(THIRD, fp)[:size]
         want = formula_spectrum(fid, fp)[0]
-        sizes = []
-        fft = np.fft.fft
-
-        def counted(a, *args, axis=-1, **kwargs):
-            sizes.append(np.shape(a)[axis])
-            return fft(a, *args, axis=axis, **kwargs)
-
         # synthesize_fid filled the basis, so only spectrum's own transform is counted
-        monkeypatch.setattr(np.fft, "fft", counted)
+        sizes = counted_ffts(monkeypatch)
         spec = spectrum(fid, fp)
         assert spec.fid_length == size
         assert spectrum_close(spec.values, want)
-        # no padded transform, for an FID longer than n_samples too: the four
-        # blocks are folded by a 4-point DFT and transformed as n-point rows
-        assert sizes == ([4, n] if size > n else [n])
+        # no padded transform: four n-point rows, run as one batch
+        assert sizes == [n]
+
+    @pytest.mark.parametrize("n", [257, 3000])
+    @pytest.mark.parametrize("length", [lambda n: 0, lambda n: n + 1, lambda n: 2 * n + 7,
+                                        lambda n: 4 * n], ids=["0", "n+1", "2n+7", "4n"])
+    def test_other_lengths_are_refused_before_any_fft(self, n, length, monkeypatch):
+        fp = FidParams(n_samples=n)
+        sizes = counted_ffts(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(
+                f"FID must be a 1-d series of 1 to {n} samples, got shape ({length(n)},)")):
+            spectrum(np.ones(length(n), dtype=complex), fp)
+        assert sizes == []
 
 
 def in_new_thread(fn, *args):
@@ -604,13 +624,13 @@ class TestWorkArrays:
         assert mismatches == [0] * len(fids)
 
     def test_no_stale_rows(self):
-        # A long FID fills the whole work array and a short one row 0 alone: each
-        # call must clear what an earlier call at that length left behind.
+        # A full FID fills all of row 0 and a short one its head alone: each call
+        # must clear what an earlier call, at any sample count, left behind.
         fp, other = FidParams(n_samples=509), FidParams(n_samples=300)
         rng = np.random.default_rng(509)
-        noise = rng.normal(size=4 * 509) + 1j * rng.normal(size=4 * 509)
-        calls = [(noise, fp), (noise[:700], other), (noise[:509 // 3], fp),
-                 (noise, fp), (noise[:510], fp)]
+        noise = rng.normal(size=509) + 1j * rng.normal(size=509)
+        calls = [(noise, fp), (noise[:300], other), (noise[:509 // 3], fp),
+                 (noise, fp), (noise[:7], other), (noise[:508], fp)]
         got = [spectrum(fid, params).values for fid, params in calls]
         for values, (fid, params) in zip(got, calls):
             assert bit_equal(values, in_new_thread(spectrum, fid, params).values)
